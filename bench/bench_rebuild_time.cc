@@ -131,6 +131,35 @@ BackgroundRebuildSample measure_background_rebuild(
   return s;
 }
 
+// Survivor element reads per rebuilt stripe on the background worker,
+// from the per-disk element counters: one spare promotion of `col` on a
+// quiet array. The planner's minimal-read count is what it should equal.
+double background_survivor_reads_per_stripe(int p, int col) {
+  const size_t esize = 4 * 1024;
+  const int64_t stripes = 32;
+  raid::ArrayOptions opts;
+  opts.background_rebuild = true;
+  raid::Raid6Array array(codes::make_layout("dcode", p), esize, stripes, 0,
+                         nullptr, std::move(opts));
+  array.add_hot_spares(1);
+  Pcg32 rng(0x5EAD);
+  std::vector<uint8_t> blob(static_cast<size_t>(array.capacity()));
+  rng.fill_bytes(blob.data(), blob.size());
+  array.write(0, blob);
+  auto survivor_reads = [&] {
+    int64_t n = 0;
+    for (int d = 0; d < array.layout().cols(); ++d) {
+      if (d != col) n += array.disk(d).reads();
+    }
+    return n;
+  };
+  const int64_t before = survivor_reads();
+  array.fail_disk(col);
+  DCODE_CHECK(array.wait_for_rebuild(), "background rebuild did not finish");
+  return static_cast<double>(survivor_reads() - before) /
+         static_cast<double>(stripes);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -188,6 +217,29 @@ int main(int argc, char** argv) {
                   {{"code", "dcode"}, {"p", "11"}, {"backend", backend}});
   }
   rt.print(std::cout);
+
+  std::cout << "\n-- Runtime: survivor element reads per rebuilt stripe, "
+               "background worker vs the planner (dcode, averaged over "
+               "every failed column) --\n";
+  TablePrinter sr({"p", "planner-reads", "background-reads"});
+  for (int p : {7, 13}) {
+    auto layout = codes::make_layout("dcode", p);
+    Accumulator planned, measured;
+    for (int f = 0; f < layout->cols(); ++f) {
+      planned.add(static_cast<double>(
+          raid::plan_single_disk_recovery(*layout, f,
+                                          raid::RecoveryStrategy::kMinimalReads)
+              .reads.size()));
+      measured.add(background_survivor_reads_per_stripe(p, f));
+    }
+    const obs::Labels cell = {{"code", "dcode"}, {"p", std::to_string(p)}};
+    telemetry.add("planner_survivor_reads_per_stripe", planned.mean(), cell);
+    telemetry.add("background_survivor_reads_per_stripe", measured.mean(),
+                  cell);
+    sr.add_row({std::to_string(p), format_double(planned.mean(), 2),
+                format_double(measured.mean(), 2)});
+  }
+  sr.print(std::cout);
 
   std::cout << "\n-- Runtime: background rebuild under live foreground "
                "reads (dcode, p=11, 48 stripes, hot spare) --\n"

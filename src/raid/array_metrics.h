@@ -11,12 +11,28 @@
 // docs/observability.md.
 #pragma once
 
+#include <array>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
 
 namespace dcode::raid {
+
+// Why a background rebuild pass stood down.
+enum class RebuildAbort { kPowerLoss, kDiskFailed, kUndecodable };
+
+inline const char* to_string(RebuildAbort r) {
+  switch (r) {
+    case RebuildAbort::kPowerLoss:
+      return "power_loss";
+    case RebuildAbort::kDiskFailed:
+      return "disk_failed";
+    case RebuildAbort::kUndecodable:
+      return "undecodable";
+  }
+  return "unknown";
+}
 
 struct ArrayMetrics {
   ArrayMetrics(obs::Registry& registry, int disks) : reg(&registry) {
@@ -62,6 +78,12 @@ struct ArrayMetrics {
     rebuild_in_progress = &registry.gauge(
         "raid.rebuild.in_progress", {},
         "1 while a background rebuild worker is active");
+    for (RebuildAbort r : {RebuildAbort::kPowerLoss, RebuildAbort::kDiskFailed,
+                           RebuildAbort::kUndecodable}) {
+      rebuild_pass_aborts[static_cast<size_t>(r)] = &registry.counter(
+          "raid.rebuild.pass_aborts", {{"reason", to_string(r)}},
+          "background rebuild passes that stood down, by cause");
+    }
     scrub_equations_skipped = &registry.counter(
         "raid.scrub.equations_skipped", {},
         "parity equations skipped by scrub (a member on a degraded disk)");
@@ -200,6 +222,7 @@ struct ArrayMetrics {
   obs::Counter* spare_promotions;
   obs::Counter* rebuild_stripes;
   obs::Gauge* rebuild_in_progress;
+  std::array<obs::Counter*, 3> rebuild_pass_aborts;  // by RebuildAbort
   obs::Counter* scrub_equations_skipped;
   obs::Counter* scrub_elements_located;
   obs::Counter* scrub_elements_repaired;

@@ -24,9 +24,11 @@
 //  * read — healthy elements stream straight from the disks; lost ones are
 //    rebuilt through the degraded-read planner's equation choices.
 //  * fail_disk / replace_disk / rebuild — fault injection and repair.
-//    Rebuild fans out across stripes on a thread pool; one failed disk
-//    uses the minimal-read recovery plan, two use D-Code's chain decoder
-//    (for dcode) or the generic hybrid decoder.
+//    Rebuild (synchronous, fanned out across stripes on a thread pool, or
+//    the background worker behind a promoted spare) runs one per-stripe
+//    routine: one lost column uses the minimal-read recovery plan, two
+//    use D-Code's chain decoder (for dcode) or the generic hybrid
+//    decoder, and checksum-condemned survivors are repaired on the way.
 //  * scrub — verifies every parity equation, returning the number of
 //    inconsistent stripes (silent-corruption detection).
 //  * write-hole protection — with enable_journal(), every stripe update
@@ -334,9 +336,21 @@ class Raid6Array : private WriteGate {
   void start_background_rebuild();
   void background_rebuild_worker();
   // One pass over the stripes for the given targets; returns false when
-  // the pass had to abort (crash / unrecoverable). Targets are re-scanned
-  // by the caller.
+  // the pass had to stand down (shutdown, crash, unrecoverable). Targets
+  // are re-scanned by the caller.
   bool rebuild_pass(const std::vector<int>& targets);
+  // The one per-stripe reconstruction routine both rebuild drivers run
+  // under the stripe's lock (defined in rebuild.cc with its scratch
+  // type). Decodes the stripe's erasure set — columns failed or above
+  // their rebuild watermark, plus any survivor the checksum sidecar
+  // condemns — and writes it back to every live device. Returns false
+  // when the erasure set is beyond the code (nothing written); a device
+  // dying mid-stripe surfaces as DiskFailedError for the caller to retry.
+  struct RebuildScratch;
+  bool rebuild_stripe(int64_t stripe, RebuildScratch& scratch);
+  void read_survivors(int64_t stripe, RebuildScratch& scratch, bool verify);
+  bool decode_erasures(int64_t stripe, RebuildScratch& scratch);
+  bool decode_condemned(int64_t stripe, RebuildScratch& scratch);
   // Marks targets whose watermark reached stripes_ fully rebuilt.
   void finish_rebuilt_targets(const std::vector<int>& targets);
   // Degraded helper: reconstruct one whole stripe into `out` (all

@@ -67,6 +67,13 @@ class StripeLockTable {
     return l;
   }
 
+  // Non-blocking form for callers that must not wait (pool workers):
+  // the returned lock owns the slot only if it was free.
+  std::unique_lock<std::mutex> try_lock(int64_t stripe) {
+    return std::unique_lock<std::mutex>(
+        slots_[static_cast<size_t>(stripe) % count_].mu, std::try_to_lock);
+  }
+
  private:
   struct alignas(64) Slot {
     std::mutex mu;

@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <exception>
+#include <filesystem>
 #include <vector>
 
 #include "codes/registry.h"
@@ -115,9 +116,16 @@ std::unique_ptr<StoragePool::Shard> StoragePool::make_shard(int index) {
   auto shard = std::make_unique<Shard>();
   shard->registry =
       &registry_->namespaced("shard" + std::to_string(index) + ".");
+  raid::ArrayOptions array = spec_.array;
+  if (!array.integrity_sidecar_dir.empty()) {
+    // Sidecars are named disk<N>.sum, so shards sharing one directory
+    // would persist into each other's files: each gets its own.
+    array.integrity_sidecar_dir += "/shard" + std::to_string(index);
+    std::filesystem::create_directories(array.integrity_sidecar_dir);
+  }
   shard->array = std::make_unique<raid::Raid6Array>(
       codes::make_layout(spec_.code, spec_.prime), spec_.element_size,
-      spec_.stripes, spec_.threads, shard->registry, spec_.array);
+      spec_.stripes, spec_.threads, shard->registry, std::move(array));
   if (spec_.journal_slots > 0) {
     shard->array->enable_journal(spec_.journal_slots);
   }

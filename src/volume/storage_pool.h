@@ -80,6 +80,9 @@ struct ShardSpec {
   size_t element_size = 4096;
   int64_t stripes = 64;
   unsigned threads = 1;  // engine pool threads per shard
+  // Per-shard array options. A non-empty integrity_sidecar_dir is a pool
+  // root: shard i persists its sidecars under <dir>/shard<i>/, created at
+  // attach.
   raid::ArrayOptions array;
   int hot_spares = 0;     // added to every shard at attach
   int journal_slots = 0;  // > 0 enables write-intent journaling

@@ -2,9 +2,6 @@
 
 #include <cstring>
 
-#include "util/check.h"
-#include "xorops/checksum_backend.h"
-
 namespace dcode::xorops {
 namespace {
 
@@ -39,38 +36,27 @@ inline uint64_t merge_round(uint64_t h, uint64_t acc) {
   return (h ^ round64(0, acc)) * kP1 + kP4;
 }
 
-void scalar_accumulate(uint64_t lanes[4], const uint8_t* p, size_t nblocks) {
-  uint64_t a0 = lanes[0], a1 = lanes[1], a2 = lanes[2], a3 = lanes[3];
-  for (size_t b = 0; b < nblocks; ++b, p += 32) {
-    a0 = round64(a0, load64(p));
-    a1 = round64(a1, load64(p + 8));
-    a2 = round64(a2, load64(p + 16));
-    a3 = round64(a3, load64(p + 24));
-  }
-  lanes[0] = a0;
-  lanes[1] = a1;
-  lanes[2] = a2;
-  lanes[3] = a3;
-}
+}  // namespace
 
-// The scalar driver around whichever accumulate() backend is active:
-// lane setup, merge, tail, avalanche — the parts that never vectorize
-// and whose single implementation keeps all backends bit-identical.
-uint64_t xxh64_with(const detail::ChecksumKernels& k, const uint8_t* p,
-                    size_t len, uint64_t seed) {
+uint64_t checksum64(const void* data, size_t len, uint64_t seed) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
   const uint8_t* const end = p + len;
   uint64_t h;
   if (len >= 32) {
-    uint64_t lanes[4] = {seed + kP1 + kP2, seed + kP2, seed, seed - kP1};
-    const size_t nblocks = len / 32;
-    k.accumulate(lanes, p, nblocks);
-    p += nblocks * 32;
-    h = rotl64(lanes[0], 1) + rotl64(lanes[1], 7) + rotl64(lanes[2], 12) +
-        rotl64(lanes[3], 18);
-    h = merge_round(h, lanes[0]);
-    h = merge_round(h, lanes[1]);
-    h = merge_round(h, lanes[2]);
-    h = merge_round(h, lanes[3]);
+    // Four independent lanes over 32-byte blocks: the hot loop.
+    uint64_t a0 = seed + kP1 + kP2, a1 = seed + kP2, a2 = seed,
+             a3 = seed - kP1;
+    for (const uint8_t* const limit = end - 32; p <= limit; p += 32) {
+      a0 = round64(a0, load64(p));
+      a1 = round64(a1, load64(p + 8));
+      a2 = round64(a2, load64(p + 16));
+      a3 = round64(a3, load64(p + 24));
+    }
+    h = rotl64(a0, 1) + rotl64(a1, 7) + rotl64(a2, 12) + rotl64(a3, 18);
+    h = merge_round(h, a0);
+    h = merge_round(h, a1);
+    h = merge_round(h, a2);
+    h = merge_round(h, a3);
   } else {
     h = seed + kP5;
   }
@@ -96,58 +82,6 @@ uint64_t xxh64_with(const detail::ChecksumKernels& k, const uint8_t* p,
   h *= kP3;
   h ^= h >> 32;
   return h;
-}
-
-// The backend the public entry point uses, resolved on first call.
-const detail::ChecksumKernels& active() {
-  static const detail::ChecksumKernels& k =
-      detail::checksum_kernels(active_isa());
-  return k;
-}
-
-}  // namespace
-
-namespace detail {
-
-const ChecksumKernels& scalar_checksum_kernels() {
-  static constexpr ChecksumKernels k = {scalar_accumulate};
-  return k;
-}
-
-const ChecksumKernels& checksum_kernels(Isa isa) {
-  DCODE_CHECK(isa_supported(isa), "requested ISA backend is not available");
-  switch (isa) {
-    case Isa::kScalar:
-      break;
-#ifdef DCODE_HAVE_ISA_SSE2
-    case Isa::kSse2:
-      return sse2_checksum_kernels();
-#endif
-#ifdef DCODE_HAVE_ISA_AVX2
-    case Isa::kAvx2:
-      return avx2_checksum_kernels();
-#endif
-#ifdef DCODE_HAVE_ISA_AVX2
-    case Isa::kAvx512:
-      // No dedicated AVX-512 backend: the four lanes already fill one
-      // 256-bit vector, so wider registers buy nothing here.
-      return avx2_checksum_kernels();
-#endif
-    default:
-      break;
-  }
-  return scalar_checksum_kernels();
-}
-
-}  // namespace detail
-
-uint64_t checksum64(const void* data, size_t len, uint64_t seed) {
-  return xxh64_with(active(), static_cast<const uint8_t*>(data), len, seed);
-}
-
-uint64_t checksum64_isa(Isa isa, const void* data, size_t len, uint64_t seed) {
-  return xxh64_with(detail::checksum_kernels(isa),
-                    static_cast<const uint8_t*>(data), len, seed);
 }
 
 }  // namespace dcode::xorops

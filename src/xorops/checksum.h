@@ -1,17 +1,15 @@
 // Fast 64-bit content checksums for the integrity sidecar.
 //
 // checksum64() is XXH64 (Yann Collet's xxHash, 64-bit variant),
-// reimplemented here so the hot 32-byte-block accumulation loop can be
-// runtime-SIMD-dispatched through the same per-ISA kernel-table scheme
-// as the XOR region kernels (xorops/xor_backend.h). Only the block
-// accumulation is dispatched; setup, lane merge, tail, and the final
-// avalanche always run scalar, so every backend is bit-identical by
-// construction — a requirement, because the values are persisted in
-// FileDisk sidecar files and must verify on a machine with a different
-// active ISA.
+// reimplemented here as one scalar kernel. The four accumulator lanes
+// are independent 64-bit multiply-rotate chains, which the compiler
+// already schedules in parallel; vector backends have to emulate the
+// 64-bit multiply (SSE2/AVX2 have no 64-bit mullo) and measured slower
+// than this loop, so there is no per-ISA dispatch.
 //
-// The scalar path matches the published XXH64 spec exactly (pinned
-// against the reference test vectors in tests/integrity_test.cc), so a
+// The values are persisted in FileDisk sidecar files, so they must match
+// the published XXH64 spec exactly (pinned against the reference test
+// vectors and a spec-literal reference in tests/integrity_test.cc): a
 // sidecar written by this library can be audited with any stock xxhash
 // tool.
 #pragma once
@@ -19,17 +17,9 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "xorops/isa.h"
-
 namespace dcode::xorops {
 
-// XXH64(data, len, seed), dispatched through the active ISA.
+// XXH64(data, len, seed).
 uint64_t checksum64(const void* data, size_t len, uint64_t seed = 0);
-
-// Same value computed with one specific backend — differential tests
-// compare every supported backend against scalar bit-for-bit. Throws
-// std::logic_error if the ISA is not available (like xor_kernels).
-uint64_t checksum64_isa(Isa isa, const void* data, size_t len,
-                        uint64_t seed = 0);
 
 }  // namespace dcode::xorops

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "codes/registry.h"
+#include "obs/metrics.h"
 #include "raid/journal.h"
 #include "raid/raid6_array.h"
 #include "util/rng.h"
@@ -47,6 +48,33 @@ TEST(CrashDuringRebuild, TwoDiskRebuildInterrupted) {
   array.replace_disk(5);
   array.inject_power_loss_after(25);
   EXPECT_THROW(array.rebuild(), PowerLossError);
+  array.restart();
+  array.rebuild();
+  EXPECT_EQ(array.scrub(), 0);
+  std::vector<uint8_t> out(blob.size());
+  array.read(0, out);
+  EXPECT_EQ(out, blob);
+}
+
+TEST(CrashDuringRebuild, BackgroundPassStandsDownOnPowerLoss) {
+  obs::Registry reg;
+  ArrayOptions opts;
+  opts.background_rebuild = true;
+  Raid6Array array(codes::make_layout("dcode", 7), 256, 8, 1, &reg, opts);
+  Pcg32 rng(4);
+  std::vector<uint8_t> blob(static_cast<size_t>(array.capacity()));
+  rng.fill_bytes(blob.data(), blob.size());
+  array.write(0, blob);
+
+  array.add_hot_spares(1);
+  array.inject_power_loss_after(10);  // dies partway through the pass
+  array.fail_disk(3);
+  EXPECT_FALSE(array.wait_for_rebuild());
+  EXPECT_EQ(
+      reg.counter("raid.rebuild.pass_aborts", {{"reason", "power_loss"}})
+          .value(),
+      1);
+
   array.restart();
   array.rebuild();
   EXPECT_EQ(array.scrub(), 0);

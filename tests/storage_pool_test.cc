@@ -12,14 +12,21 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "codes/registry.h"
+#include "raid/file_disk.h"
+#include "raid/integrity.h"
 #include "raid/journal.h"
 #include "util/rng.h"
 #include "volume/storage_pool.h"
+#include "xorops/checksum.h"
 
 namespace dcode::volume {
 namespace {
@@ -446,6 +453,54 @@ TEST(StoragePool, AddShardWhileRestripingRejected) {
   EXPECT_NO_THROW(pool.add_shard());
   ASSERT_TRUE(pool.wait_for_restripe());
   EXPECT_EQ(pool.shard_count(), 4);
+}
+
+TEST(StoragePool, ShardsPersistSidecarsInTheirOwnDirectories) {
+  std::string tmpl = ::testing::TempDir() + "dcode_pool_sidecars_XXXXXX";
+  std::vector<char> name(tmpl.begin(), tmpl.end());
+  name.push_back('\0');
+  ASSERT_NE(mkdtemp(name.data()), nullptr);
+  const std::string dir(name.data());
+  ShardSpec spec = small_spec();
+  // Device files named in creation order, so the shards' disk N never
+  // share a file; the sidecars are what this test is about.
+  auto serial = std::make_shared<std::atomic<int>>(0);
+  spec.array.device_factory =
+      [dir, serial](int id, size_t size) -> std::unique_ptr<raid::BlockDevice> {
+    return std::make_unique<raid::FileDisk>(
+        id, size, dir + "/dev" + std::to_string(serial->fetch_add(1)),
+        raid::FileDisk::Options{.reuse = false, .unlink_on_close = true});
+  };
+  spec.array.integrity_sidecar_dir = dir;
+  obs::Registry reg;
+  {
+    StoragePool pool(spec, 2, chunked(spec, 4), &reg);
+    pool.write(0, random_bytes(static_cast<size_t>(pool.capacity()), 0x51DE));
+    pool.flush();
+
+    // Reopen every shard's persisted sidecars and judge the bytes each
+    // device holds against them.
+    auto layout = codes::make_layout(spec.code, spec.prime);
+    const int64_t elements = spec.stripes * layout->rows();
+    std::vector<uint8_t> elem(spec.element_size);
+    for (int shard = 0; shard < 2; ++shard) {
+      raid::Raid6Array& array = pool.shard_array(shard);
+      for (int d = 0; d < layout->cols(); ++d) {
+        raid::ChecksumStore store(elements);
+        store.attach_file(dir + "/shard" + std::to_string(shard) + "/disk" +
+                          std::to_string(d) + ".sum");
+        for (int64_t e = 0; e < elements; ++e) {
+          array.disk(d).read(static_cast<uint64_t>(e) * spec.element_size,
+                             elem);
+          EXPECT_EQ(store.classify(
+                        e, xorops::checksum64(elem.data(), elem.size())),
+                    raid::IntegrityVerdict::kOk)
+              << "shard " << shard << " disk " << d << " element " << e;
+        }
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
