@@ -65,36 +65,22 @@ int64_t Raid6Array::journal_recover() {
                  {{"open_intents", static_cast<int64_t>(open.size())}});
   metrics_.journal_recoveries->inc();
   int64_t repaired = 0;
+  StripeScratch x(layout, element_size_);
   for (int64_t stripe : open) {
     // Re-encode parity from whatever data survived the crash: every data
     // element is individually consistent (element writes are atomic), so
     // a fresh encode restores the stripe invariant. On a degraded array
     // the lost columns are decoded first (a crash can race a disk
     // failure), and only live-for-this-stripe devices are rewritten.
-    std::unique_lock<std::mutex> lock = stripe_lock(stripe);
-    bool degraded = false;
-    for (int c = 0; c < layout.cols(); ++c) {
-      degraded = degraded ||
-                 disk_degraded_for_stripe(map_.physical_disk(stripe, c),
-                                          stripe);
-    }
-    Stripe s(layout, element_size_);
     // Raw reads: a crash can strand sidecar records ahead of the platter
     // (the write was admitted but never landed), and replay's whole job
     // is to rebuild consistency from the bytes that DID survive —
     // verify-on-read vetoing them would deadlock recovery.
-    if (degraded) {
-      load_stripe_degraded(stripe, s, /*verify=*/false);
-    } else {
-      std::vector<StripeIoEngine::ReadOp> rops;
-      for (int c = 0; c < layout.cols(); ++c) {
-        const int pd = map_.physical_disk(stripe, c);
-        for (int r = 0; r < layout.rows(); ++r) {
-          rops.push_back({pd, stripe, r, s.at(r, c)});
-        }
-      }
-      engine_.read_batch(rops, /*verify=*/false);
+    std::unique_lock<std::mutex> lock = stripe_lock(stripe);
+    if (!reconstruct_stripe(stripe, x, StripeRead::kRaw)) {
+      throw_unrecovered(stripe, x);
     }
+    Stripe& s = x.buf;
     codes::encode_stripe(s);
     std::vector<StripeIoEngine::WriteOp> wops;
     for (const Equation& q : layout.equations()) {

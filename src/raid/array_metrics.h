@@ -50,7 +50,8 @@ struct ArrayMetrics {
     rebuilds = &registry.counter("raid.rebuilds", {}, "rebuild operations");
     elements_reconstructed = &registry.counter(
         "raid.elements_reconstructed", {},
-        "elements recomputed from parity (degraded reads + rebuilds)");
+        "elements recomputed from parity: lost elements decoded and "
+        "condemned elements repaired");
     scrubs = &registry.counter("raid.scrubs", {}, "scrub operations");
     scrub_stripes_checked = &registry.counter(
         "raid.scrub.stripes_checked", {}, "stripes verified by scrub");
@@ -149,12 +150,6 @@ struct ArrayMetrics {
                           "stripes re-encoded by journal recovery");
     journal_recoveries = &registry.counter(
         "raid.journal.recoveries", {}, "journal recovery passes");
-    read_latency_ns = &registry.histogram(
-        "raid.read_latency_ns", obs::latency_bounds_ns(), {},
-        "wall time per read op");
-    write_latency_ns = &registry.histogram(
-        "raid.write_latency_ns", obs::latency_bounds_ns(), {},
-        "wall time per write op");
     read_latency_fine_ns = &registry.histogram(
         "raid.read_latency_fine_ns", obs::latency_fine_bounds_ns(), {},
         "wall time per read op, log-linear buckets for p99/p999");
@@ -242,8 +237,6 @@ struct ArrayMetrics {
   obs::Counter* journal_commits;
   obs::Counter* journal_replayed_stripes;
   obs::Counter* journal_recoveries;
-  obs::Histogram* read_latency_ns;
-  obs::Histogram* write_latency_ns;
   obs::Histogram* read_latency_fine_ns;
   obs::Histogram* write_latency_fine_ns;
   obs::Counter* slow_ops;

@@ -1,12 +1,12 @@
-// Raid6Array's degraded-mode paths: whole-stripe reconstruction, the
-// stripe-rewrite write policy, and planner-driven degraded reads. Split
-// from raid6_array.cc so the core policy file stays readable.
+// Raid6Array's degraded-mode paths: the stripe-rewrite write policy and
+// planner-driven degraded reads, both over reconstruct_stripe() when a
+// whole stripe is needed. Split from raid6_array.cc so the core policy
+// file stays readable.
 #include <cstring>
 #include <map>
 #include <set>
 #include <vector>
 
-#include "codes/decoder.h"
 #include "codes/encoder.h"
 #include "codes/stripe.h"
 #include "obs/trace.h"
@@ -23,43 +23,23 @@ using codes::Stripe;
 using ReadOp = StripeIoEngine::ReadOp;
 using WriteOp = StripeIoEngine::WriteOp;
 
-void Raid6Array::load_stripe_degraded(int64_t stripe, Stripe& out,
-                                      bool verify) {
-  const CodeLayout& layout = *layout_;
-  std::vector<Element> lost;
-  std::vector<ReadOp> rops;
-  for (int c = 0; c < layout.cols(); ++c) {
-    const int pd = map_.physical_disk(stripe, c);
-    // Per-stripe degradedness: a rebuilding disk is live for stripes
-    // below its watermark, so a partially rebuilt spare contributes the
-    // data it already has instead of forcing a full decode.
-    bool dead = disk_degraded_for_stripe(pd, stripe);
-    for (int r = 0; r < layout.rows(); ++r) {
-      if (dead) {
-        lost.push_back(codes::make_element(r, c));
-      } else {
-        rops.push_back({pd, stripe, r, out.at(r, c)});
-      }
-    }
-  }
-  engine_.read_batch(rops, verify);
-  if (!lost.empty()) {
-    auto res = codes::hybrid_decode(out, lost);
-    DCODE_CHECK(res.success, "stripe unrecoverable (more than two failures)");
-    metrics_.elements_reconstructed->inc(static_cast<int64_t>(lost.size()));
-  }
-}
-
 void Raid6Array::write_stripe_degraded(int64_t stripe, int64_t g,
                                        int64_t stripe_end, int64_t offset,
                                        std::span<const uint8_t> data) {
   // Stripe-rewrite policy: reconstruct, modify, re-encode, then write
   // back only the touched surviving data elements plus every surviving
-  // parity (untouched data is already on disk).
+  // parity (untouched data is already on disk) — and every condemned
+  // survivor the reconstruction repaired, so the sidecar-verified bytes
+  // replace the bad ones with the stripe.
   const CodeLayout& layout = *layout_;
-  Stripe s(layout, element_size_);
-  load_stripe_degraded(stripe, s);
+  StripeScratch x(layout, element_size_);
+  if (!reconstruct_stripe(stripe, x, StripeRead::kVerified)) {
+    throw_unrecovered(stripe, x);
+  }
+  Stripe& s = x.buf;
   std::set<Element> touched;
+  for (const Suspect& sus : x.suspects) touched.insert(sus.e);
+  if (!x.suspects.empty()) metrics_.integrity_write_repairs->inc();
   for (int64_t e = g; e <= stripe_end; ++e) {
     auto loc = map_.locate(e);
     size_t eb, sb, len;
@@ -149,15 +129,18 @@ void Raid6Array::read_degraded(int64_t first, int64_t last, int64_t offset,
     } else {
       // Full-stripe chained decode fallback (two failed disks crossing
       // every equation of the target).
+      // The read path never writes back: scrub owns durable repair.
       span.note("full_stripe_decode", {{"stripe", rec.stripe}});
-      Stripe s(layout, element_size_);
-      load_stripe_degraded(rec.stripe, s);
-      std::memcpy(buf.data(), s.at(rec.target), element_size_);
+      StripeScratch x(layout, element_size_);
+      if (!reconstruct_stripe(rec.stripe, x, StripeRead::kVerified)) {
+        throw_unrecovered(rec.stripe, x);
+      }
+      std::memcpy(buf.data(), x.buf.at(rec.target), element_size_);
     }
     cache.emplace(Key{rec.stripe, rec.target}, std::move(buf));
   }
   // Equation-based reconstructions (the fallback already counted its own
-  // rebuilt elements inside load_stripe_degraded).
+  // rebuilt elements inside reconstruct_stripe).
   int64_t eq_recs = 0;
   for (const Reconstruction& rec : plan.reconstructions) {
     if (rec.equation >= 0) ++eq_recs;

@@ -43,8 +43,7 @@ int64_t now_ns() {
 // harness binds its own with enqueue_ns set to the op's intended
 // arrival), opens the op's root trace span, stamps begin/end events into
 // the flight recorder, and on scope exit (including unwinds) observes
-// latency into both the coarse and the fine histograms and runs the
-// slow-op watchdog.
+// latency into the fine latency histogram and runs the slow-op watchdog.
 class OpGuard {
  public:
   OpGuard(bool is_write, int64_t offset, int64_t bytes, bool degraded,
@@ -82,8 +81,6 @@ class OpGuard {
     const int64_t end = now_ns();
     const int64_t lat =
         end - (ctx_->enqueue_ns > 0 ? ctx_->enqueue_ns : ctx_->start_ns);
-    (is_write_ ? metrics_.write_latency_ns : metrics_.read_latency_ns)
-        ->observe(lat);
     (is_write_ ? metrics_.write_latency_fine_ns
                : metrics_.read_latency_fine_ns)
         ->observe(lat);
@@ -614,8 +611,6 @@ void Raid6Array::publish_disk_metrics(obs::Registry& registry) const {
     registry.gauge("raid.disk.bytes_read", l).set(h.bytes_read());
     registry.gauge("raid.disk.bytes_written", l).set(h.bytes_written());
     registry.gauge("raid.disk.failed", l).set(h.failed() ? 1 : 0);
-    registry.gauge("raid.disk.health_state", l)
-        .set(static_cast<int64_t>(health_.state(d)));
     // Rebuild progress: stripes of this device currently readable
     // (clamped — a healthy device reports the stripe count).
     registry.gauge("raid.disk.readable_stripes", l)

@@ -24,13 +24,17 @@
 //  * read — healthy elements stream straight from the disks; lost ones are
 //    rebuilt through the degraded-read planner's equation choices.
 //  * fail_disk / replace_disk / rebuild — fault injection and repair.
-//    Rebuild (synchronous, fanned out across stripes on a thread pool, or
-//    the background worker behind a promoted spare) runs one per-stripe
-//    routine: one lost column uses the minimal-read recovery plan, two
-//    use D-Code's chain decoder (for dcode) or the generic hybrid
-//    decoder, and checksum-condemned survivors are repaired on the way.
+//    Rebuild runs synchronously (fanned out across stripes on a thread
+//    pool) or on the background worker behind a promoted spare.
 //  * scrub — verifies every parity equation, returning the number of
 //    inconsistent stripes (silent-corruption detection).
+//  * one stripe-reconstruction routine, reconstruct_stripe(), serves the
+//    degraded write, the degraded read's full-stripe fallback, journal
+//    replay, write-path repair, scrub and rebuild: its erasure set is the
+//    stripe's lost columns plus every checksum-condemned live element.
+//    One lost column uses the minimal-read recovery plan when rebuilding,
+//    two use D-Code's chain decoder (for dcode), anything else the
+//    generic hybrid decoder.
 //  * write-hole protection — with enable_journal(), every stripe update
 //    is bracketed by write-ahead intent records; inject_power_loss_after()
 //    simulates a crash after N more element writes, restart() brings the
@@ -55,6 +59,7 @@
 #include "raid/health_monitor.h"
 #include "raid/journal.h"
 #include "raid/planner.h"
+#include "raid/recovery.h"
 #include "raid/stripe_io_engine.h"
 #include "raid/stripe_lock_table.h"
 #include "util/thread_pool.h"
@@ -252,9 +257,10 @@ class Raid6Array : private WriteGate {
   // count per element no matter how transfers were coalesced, so the two
   // units coincide.
   std::vector<int64_t> per_disk_element_accesses() const;
-  // Copies each disk's cumulative element counters and fault state into
-  // labeled gauges (raid.disk.reads{disk=N}, .writes, .bytes_read,
-  // .bytes_written, .failed), plus backend-labeled device-level op gauges
+  // Copies each disk's cumulative element counters, fault state and
+  // rebuild watermark into labeled gauges (raid.disk.reads{disk=N},
+  // .writes, .bytes_read, .bytes_written, .failed, .readable_stripes),
+  // plus backend-labeled device-level op gauges
   // (raid.disk.device_read_ops{backend=...,disk=N}, .device_write_ops —
   // one count per ranged transfer, the coalescing ratio's denominator) —
   // an explicit pull for exposition; call right before scraping/printing.
@@ -339,31 +345,87 @@ class Raid6Array : private WriteGate {
   // the pass had to stand down (shutdown, crash, unrecoverable). Targets
   // are re-scanned by the caller.
   bool rebuild_pass(const std::vector<int>& targets);
-  // The one per-stripe reconstruction routine both rebuild drivers run
-  // under the stripe's lock (defined in rebuild.cc with its scratch
-  // type). Decodes the stripe's erasure set — columns failed or above
-  // their rebuild watermark, plus any survivor the checksum sidecar
-  // condemns — and writes it back to every live device. Returns false
-  // when the erasure set is beyond the code (nothing written); a device
-  // dying mid-stripe surfaces as DiskFailedError for the caller to retry.
-  struct RebuildScratch;
-  bool rebuild_stripe(int64_t stripe, RebuildScratch& scratch);
-  void read_survivors(int64_t stripe, RebuildScratch& scratch, bool verify);
-  bool decode_erasures(int64_t stripe, RebuildScratch& scratch);
-  bool decode_condemned(int64_t stripe, RebuildScratch& scratch);
+  // --- the one stripe-reconstruction routine (reconstruct.cc) -----------
+  // How reconstruct_stripe() reads a stripe's live elements.
+  enum class StripeRead {
+    // Only what decoding the lost columns needs: one lost column reads
+    // the planner's minimal-read set, more read every survivor. Verified;
+    // classified only after a condemnation (rebuild).
+    kMinimal,
+    // Every live element, verified; classified only after a condemnation
+    // (degraded write, degraded-read fallback).
+    kVerified,
+    // Every live element raw, never classified (journal replay: a crash
+    // can leave sidecar records ahead of the platter).
+    kRaw,
+    // Every live element raw, each classified up front (scrub and
+    // write-path repair judge the bytes themselves).
+    kClassified,
+  };
+  // A live element the checksum sidecar condemned, with its verdict and
+  // whether reconstruct_stripe() repaired (and re-verified) it.
+  struct Suspect {
+    codes::Element e;
+    IntegrityVerdict verdict;
+    bool repaired;
+  };
+  // One caller's reusable state: the stripe buffer (allocated once; no
+  // decode reads what an erased position held, so it is never re-zeroed),
+  // the routine's outputs, batch vectors, and each column's minimal-read
+  // plan, computed the first time that column is a stripe's only loss.
+  struct StripeScratch {
+    StripeScratch(const codes::CodeLayout& layout, size_t element_size);
+    bool lost(int col) const;  // column degraded for the stripe
+    bool condemned() const;    // a suspect is left unrepaired
+    // Element `e` as read from its device (a suspect's pre-repair bytes).
+    const uint8_t* as_found(codes::Element e) const;
+
+    codes::Stripe buf;
+    std::vector<int> lost_cols;     // ascending logical columns
+    std::vector<Suspect> suspects;  // every condemned live element
+    std::vector<uint8_t> found;     // suspects' payloads as read
+    std::vector<int> suspect_at;    // row * cols + col -> suspect, or -1
+    std::vector<std::optional<RecoveryPlan>> plans;  // by logical column
+    std::vector<codes::Element> erased;
+    std::vector<const uint8_t*> srcs;
+    std::vector<StripeIoEngine::ReadOp> rops;
+    std::vector<StripeIoEngine::WriteOp> wops;
+  };
+  // Reconstructs `stripe` into x.buf. The erasure set is the columns
+  // degraded for this stripe plus every live element the sidecar
+  // condemns. Condemned elements are first repaired one equation at a
+  // time (each candidate re-verified against its record, rolled back if
+  // it fails); anything still erased is then decoded jointly — D-Code's
+  // chain decoder for two lost D-Code columns, hybrid_decode otherwise —
+  // and every condemned element must re-verify before it is accepted.
+  // `want_lost` = false decodes lost columns only as far as repairing a
+  // condemned element needs them. Returns true when every wanted
+  // erasure is decoded and no suspect is left condemned; on false the
+  // lost columns' buffers are undefined and unrepaired suspects hold
+  // their bytes as read. Writes nothing: callers write back what they
+  // own. A device dying mid-read surfaces as DiskFailedError.
+  bool reconstruct_stripe(int64_t stripe, StripeScratch& x, StripeRead how,
+                          bool want_lost = true);
+  // Throws for a stripe reconstruct_stripe() could not recover: an
+  // ElementIntegrityError naming the first unrepaired suspect, else a
+  // check failure (more losses than the code tolerates).
+  [[noreturn]] void throw_unrecovered(int64_t stripe,
+                                      const StripeScratch& x) const;
+
+  // Both rebuild drivers run this under the stripe's lock (rebuild.cc):
+  // reconstruct_stripe(kMinimal), then write the lost columns and any
+  // repaired survivor to every live device. Returns false when the
+  // erasure set is beyond the code (nothing written); a device dying
+  // mid-stripe surfaces as DiskFailedError for the caller to retry.
+  bool rebuild_stripe(int64_t stripe, StripeScratch& scratch);
   // Marks targets whose watermark reached stripes_ fully rebuilt.
   void finish_rebuilt_targets(const std::vector<int>& targets);
-  // Degraded helper: reconstruct one whole stripe into `out` (all
-  // columns). `verify` = false reads surviving elements raw (journal
-  // replay judges the bytes itself).
-  void load_stripe_degraded(int64_t stripe, codes::Stripe& out,
-                            bool verify = true);
-  // Write-path integrity repair: re-reads `stripe` raw, classifies every
-  // live element against the sidecar, reconstructs the condemned ones
-  // from surviving equations and writes them back. Called under the
-  // stripe lock when an RMW pre-read fails verification (folding a bad
-  // old value into a parity delta would corrupt parity). Defined in
-  // scrub.cc beside the scrub-time twin of the same algorithm.
+  // Write-path integrity repair (scrub.cc): reconstruct_stripe
+  // (kClassified), then write back the repaired survivors and re-encode
+  // any fully-live, trusted equation whose parity missed a mid-update
+  // write. Called under the stripe lock when an RMW pre-read fails
+  // verification (folding a bad old value into a parity delta would
+  // corrupt parity).
   void clean_stripe_integrity(int64_t stripe);
   // Last-resort write path when clean_stripe_integrity cannot converge
   // (e.g. a misdirected data write detected at the RMW parity pre-read:

@@ -1,21 +1,11 @@
-// Raid6Array's rebuild: one per-stripe reconstruction routine and its two
-// drivers, the background worker behind a promoted spare and the
-// synchronous rebuild().
-//
-// rebuild_stripe() takes the stripe's erasure set — the columns whose
-// device is failed or above its rebuild watermark — and decodes it the
-// cheapest way the code allows:
-//  * one lost column: the planner's minimal-read recovery plan (paper
-//    §III-D, plan_single_disk_recovery with kMinimalReads), computed once
-//    per column and pass. Only the plan's survivor elements are read (26
-//    of 42 at p=7); each lost element is one XOR fold of its equation;
-//  * two lost columns of a D-Code stripe: the §III-C chain decoder;
-//  * anything else: hybrid_decode over every survivor.
-// A survivor that verify-on-read condemns joins the erasure set: the
-// stripe's survivors are re-read raw and classified against the sidecar,
-// every condemned element is decoded together with the lost columns,
-// re-verified against its recorded checksum and written back beside the
-// rebuilt column. A corrupt source is repaired in the same pass instead
+// Raid6Array's rebuild drivers: the background worker behind a promoted
+// spare and the synchronous rebuild(). Both run rebuild_stripe() under
+// the stripe's lock: reconstruct_stripe() (reconstruct.cc) with
+// StripeRead::kMinimal — one lost column reads only the planner's
+// minimal-read set (paper §III-D, 26 of 42 survivors at p=7), two lost
+// D-Code columns go through the §III-C chain decoder — then the lost
+// columns and any condemned survivor the routine repaired are written
+// back together. A corrupt source is repaired in the same pass instead
 // of aborting it.
 //
 // Background protocol (the rebuild watermark):
@@ -43,26 +33,14 @@
 #include <chrono>
 #include <limits>
 #include <mutex>
-#include <optional>
 #include <vector>
 
-#include "codes/dcode_decoder.h"
-#include "codes/decoder.h"
-#include "codes/stripe.h"
 #include "obs/trace.h"
 #include "raid/raid6_array.h"
-#include "raid/recovery.h"
-#include "xorops/xor_region.h"
 
 namespace dcode::raid {
 
 using codes::CodeLayout;
-using codes::Element;
-using codes::Equation;
-using codes::Stripe;
-
-using ReadOp = StripeIoEngine::ReadOp;
-using WriteOp = StripeIoEngine::WriteOp;
 
 namespace {
 
@@ -86,159 +64,39 @@ class LatencyTimer {
   int64_t t0_;
 };
 
-bool is_condemned(IntegrityVerdict v) {
-  return v != IntegrityVerdict::kOk && v != IntegrityVerdict::kUntracked;
-}
-
 }  // namespace
 
-// One rebuild caller's state, reused from stripe to stripe: a stripe
-// buffer (allocated once; no decode path reads what an erased position
-// held, so it is never re-zeroed), the batch vectors, and each column's
-// minimal-read plan, computed the first time that column is a stripe's
-// only loss.
-struct Raid6Array::RebuildScratch {
-  RebuildScratch(const CodeLayout& layout, size_t element_size)
-      : buf(layout, element_size),
-        plans(static_cast<size_t>(layout.cols())) {}
-
-  Stripe buf;
-  std::vector<std::optional<RecoveryPlan>> plans;  // by logical column
-  std::vector<int> lost_cols;                      // ascending
-  std::vector<Element> lost;
-  std::vector<Element> condemned;  // survivors repaired with the stripe
-  std::vector<const uint8_t*> srcs;
-  std::vector<ReadOp> rops;
-  std::vector<WriteOp> wops;
-};
-
-bool Raid6Array::rebuild_stripe(int64_t stripe, RebuildScratch& x) {
-  const CodeLayout& layout = *layout_;
-  x.lost_cols.clear();
-  bool writable = false;
-  for (int c = 0; c < layout.cols(); ++c) {
-    const int pd = map_.physical_disk(stripe, c);
-    if (!disk_degraded_for_stripe(pd, stripe)) continue;
-    x.lost_cols.push_back(c);
-    writable |= !engine_.disk(pd).failed();
-  }
+bool Raid6Array::rebuild_stripe(int64_t stripe, StripeScratch& x) {
   // Nothing lost, or no device to rebuild onto (a failure without a
   // spare): no reads are worth issuing.
-  if (!writable) return true;
-
-  x.condemned.clear();
-  try {
-    if (!decode_erasures(stripe, x)) return false;
-  } catch (const ElementIntegrityError&) {
-    if (!decode_condemned(stripe, x)) return false;
+  bool writable = false;
+  for (int c = 0; c < layout_->cols(); ++c) {
+    const int pd = map_.physical_disk(stripe, c);
+    writable |=
+        disk_degraded_for_stripe(pd, stripe) && !engine_.disk(pd).failed();
   }
+  if (!writable) return true;
+  if (!reconstruct_stripe(stripe, x, StripeRead::kMinimal)) return false;
 
   x.wops.clear();
   for (int c : x.lost_cols) {
     const int pd = map_.physical_disk(stripe, c);
     if (engine_.disk(pd).failed()) continue;  // no spare yet
-    for (int r = 0; r < layout.rows(); ++r) {
+    for (int r = 0; r < layout_->rows(); ++r) {
       x.wops.push_back({pd, stripe, r, x.buf.at(r, c)});
     }
   }
-  for (const Element& e : x.condemned) {
+  for (const Suspect& s : x.suspects) {
     x.wops.push_back(
-        {map_.physical_disk(stripe, e.col), stripe, e.row, x.buf.at(e)});
+        {map_.physical_disk(stripe, s.e.col), stripe, s.e.row, x.buf.at(s.e)});
   }
   engine_.write_batch(x.wops);
   // The repaired survivors' payloads are known good: drop the
   // stale-history record the write left (prev = the condemned sum's
   // predecessor) so later reads classify against a fresh record.
-  for (const Element& e : x.condemned) {
-    engine_.resync_element_integrity(map_.physical_disk(stripe, e.col),
-                                     stripe, e.row, x.buf.at(e));
-  }
-  metrics_.elements_reconstructed->inc(
-      static_cast<int64_t>(x.lost_cols.size()) * layout.rows() +
-      static_cast<int64_t>(x.condemned.size()));
-  return true;
-}
-
-void Raid6Array::read_survivors(int64_t stripe, RebuildScratch& x,
-                                bool verify) {
-  const CodeLayout& layout = *layout_;
-  x.rops.clear();
-  for (int c = 0; c < layout.cols(); ++c) {
-    if (std::binary_search(x.lost_cols.begin(), x.lost_cols.end(), c)) {
-      continue;
-    }
-    const int pd = map_.physical_disk(stripe, c);
-    for (int r = 0; r < layout.rows(); ++r) {
-      x.rops.push_back({pd, stripe, r, x.buf.at(r, c)});
-    }
-  }
-  engine_.read_batch(x.rops, verify);
-}
-
-bool Raid6Array::decode_erasures(int64_t stripe, RebuildScratch& x) {
-  const CodeLayout& layout = *layout_;
-  if (x.lost_cols.size() == 1) {
-    const int col = x.lost_cols.front();
-    std::optional<RecoveryPlan>& plan = x.plans[static_cast<size_t>(col)];
-    if (!plan) {
-      plan = plan_single_disk_recovery(layout, col,
-                                       RecoveryStrategy::kMinimalReads);
-    }
-    x.rops.clear();
-    for (const Element& e : plan->reads) {
-      x.rops.push_back(
-          {map_.physical_disk(stripe, e.col), stripe, e.row, x.buf.at(e)});
-    }
-    engine_.read_batch(x.rops);
-    for (const Reconstruction& rec : plan->reconstructions) {
-      const Equation& q =
-          layout.equations()[static_cast<size_t>(rec.equation)];
-      x.srcs.clear();
-      if (q.parity != rec.target) x.srcs.push_back(x.buf.at(q.parity));
-      for (const Element& m : q.sources) {
-        if (m != rec.target) x.srcs.push_back(x.buf.at(m));
-      }
-      xorops::xor_many(x.buf.at(rec.target), x.srcs, element_size_);
-    }
-    return true;
-  }
-  read_survivors(stripe, x, /*verify=*/true);
-  if (layout.name() == "dcode" && x.lost_cols.size() == 2) {
-    return codes::dcode_decode_two_disks(x.buf, x.lost_cols[0],
-                                         x.lost_cols[1])
-        .success;
-  }
-  x.lost = codes::elements_of_disks(layout, x.lost_cols);
-  return codes::hybrid_decode(x.buf, x.lost).success;
-}
-
-bool Raid6Array::decode_condemned(int64_t stripe, RebuildScratch& x) {
-  const CodeLayout& layout = *layout_;
-  // Raw reads: every survivor is judged here, not vetoed one at a time.
-  read_survivors(stripe, x, /*verify=*/false);
-  x.lost = codes::elements_of_disks(layout, x.lost_cols);
-  for (int c = 0; c < layout.cols(); ++c) {
-    if (std::binary_search(x.lost_cols.begin(), x.lost_cols.end(), c)) {
-      continue;
-    }
-    const int pd = map_.physical_disk(stripe, c);
-    for (int r = 0; r < layout.rows(); ++r) {
-      const uint8_t* payload = x.buf.at(r, c);
-      if (is_condemned(engine_.classify_element(pd, stripe, r, payload))) {
-        x.condemned.push_back(codes::make_element(r, c));
-      }
-    }
-  }
-  x.lost.insert(x.lost.end(), x.condemned.begin(), x.condemned.end());
-  if (!codes::hybrid_decode(x.buf, x.lost).success) return false;
-  // Only bytes the sidecar vouches for may be written back: a decode
-  // through an undetected bad value would launder it onto the spare.
-  for (const Element& e : x.condemned) {
-    const int pd = map_.physical_disk(stripe, e.col);
-    if (is_condemned(
-            engine_.classify_element(pd, stripe, e.row, x.buf.at(e)))) {
-      return false;
-    }
+  for (const Suspect& s : x.suspects) {
+    engine_.resync_element_integrity(map_.physical_disk(stripe, s.e.col),
+                                     stripe, s.e.row, x.buf.at(s.e));
   }
   return true;
 }
@@ -295,7 +153,7 @@ void Raid6Array::background_rebuild_worker() {
 
 bool Raid6Array::rebuild_pass(const std::vector<int>& targets) {
   metrics_.rebuilds->inc();
-  RebuildScratch scratch(*layout_, element_size_);
+  StripeScratch scratch(*layout_, element_size_);
   auto stand_down = [&](int64_t stripe, RebuildAbort reason, int disk) {
     metrics_.rebuild_pass_aborts[static_cast<size_t>(reason)]->inc();
     obs::TraceLog::global().event("rebuild.stand_down",
@@ -390,7 +248,7 @@ void Raid6Array::rebuild() {
 
   // Each stripe is rebuilt under its lock, retrying with a refreshed
   // erasure set when a survivor dies mid-stripe.
-  auto rebuild_locked = [&](int64_t s, RebuildScratch& scratch) {
+  auto rebuild_locked = [&](int64_t s, StripeScratch& scratch) {
     for (int attempt = 0;; ++attempt) {
       try {
         DCODE_CHECK(rebuild_stripe(s, scratch), "stripe unrecoverable");
@@ -408,7 +266,7 @@ void Raid6Array::rebuild() {
   std::vector<int64_t> deferred;
   engine_.pool().parallel_for_chunked(
       static_cast<size_t>(stripes_), [&](size_t begin, size_t end) {
-        RebuildScratch scratch(layout, element_size_);
+        StripeScratch scratch(layout, element_size_);
         for (size_t st = begin; st < end; ++st) {
           const int64_t s = static_cast<int64_t>(st);
           std::unique_lock<std::mutex> lock = stripe_locks_.try_lock(s);
@@ -421,7 +279,7 @@ void Raid6Array::rebuild() {
         }
       });
   if (!deferred.empty()) {
-    RebuildScratch scratch(layout, element_size_);
+    StripeScratch scratch(layout, element_size_);
     for (int64_t s : deferred) {
       std::unique_lock<std::mutex> lock = stripe_lock(s);
       rebuild_locked(s, scratch);

@@ -1,19 +1,24 @@
-// Parity scrub: verify every XOR equation of every stripe, tolerate
-// degraded arrays, and (in repair mode) localize and rewrite
-// single-element silent corruption.
+// Parity scrub and write-path integrity repair. Scrub verifies every
+// XOR equation of every stripe, tolerates degraded arrays, and (in
+// repair mode) localizes and rewrites silent corruption; the write path's
+// clean_stripe_integrity / salvage_stripe_rewrite repair a stripe whose
+// RMW pre-read failed verification. All three get their stripe from
+// reconstruct_stripe() (reconstruct.cc) and write back only what it
+// re-verified.
 //
 // Two localization channels, tried in order:
 //
 //  * Checksum sidecar (ScrubOptions::use_checksums, the default when the
-//    array maintains integrity records): each element's payload is
-//    classified against its recorded checksum + write-identity tag, so a
-//    corrupt/misdirected/stale element is condemned DIRECTLY — no
-//    syndrome agreement needed. Condemned elements are reconstructed
-//    from any surviving equation whose other members are trusted,
-//    re-verified against the sidecar, and written back. This repairs
-//    cases the parity-only channel must give up on (several corrupt
-//    elements, disagreeing families) and is the only channel that sees
-//    whole-stripe stale writes (parity-consistent rollbacks).
+//    array maintains integrity records): reconstruct_stripe classifies
+//    every live element against its recorded checksum + write-identity
+//    tag, so a corrupt/misdirected/stale element is condemned DIRECTLY —
+//    no syndrome agreement needed — and repairs it from surviving
+//    equations or, failing that, by decoding through the dead columns,
+//    accepting only bytes that re-verify. This repairs cases the
+//    parity-only channel must give up on (several corrupt elements,
+//    disagreeing families) and is the only channel that sees whole-stripe
+//    stale writes (parity-consistent rollbacks). The stripe is still
+//    judged as found: a suspect counts with its bytes as read.
 //
 //  * Parity syndromes: a single corrupted element with XOR delta D
 //    leaves exactly the equations that contain it unsatisfied, each with
@@ -31,10 +36,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <functional>
 #include <mutex>
 
-#include "codes/decoder.h"
 #include "codes/encoder.h"
 #include "codes/stripe.h"
 #include "obs/trace.h"
@@ -47,9 +50,6 @@ using codes::CodeLayout;
 using codes::Element;
 using codes::Equation;
 using codes::Stripe;
-
-using ReadOp = StripeIoEngine::ReadOp;
-using WriteOp = StripeIoEngine::WriteOp;
 
 namespace {
 
@@ -64,68 +64,6 @@ bool all_zero(const uint8_t* p, size_t n) {
     if (p[i] != 0) return false;
   }
   return true;
-}
-
-size_t elem_index(const CodeLayout& layout, const Element& e) {
-  return static_cast<size_t>(e.row) * static_cast<size_t>(layout.cols()) +
-         static_cast<size_t>(e.col);
-}
-
-// Fixpoint reconstruction of checksum-condemned elements: an equation
-// whose members are all live and exactly one of them distrusted rewrites
-// that member as the XOR of the others. Each candidate is re-verified
-// through `acceptable` (the sidecar knows the expected checksum) before
-// being accepted — a reconstruction through an equation that itself
-// holds an undetected wrong value would manufacture garbage, so a
-// rejected candidate is rolled back and the element stays distrusted.
-// Accepted elements become trusted members for later equations, so
-// multi-element damage (e.g. a misdirected write's victim AND its
-// intended target) repairs iteratively. Returns the repaired elements;
-// `distrust` is cleared for exactly those.
-std::vector<Element> reconstruct_distrusted(
-    const CodeLayout& layout, Stripe& s, const std::vector<char>& dead,
-    std::vector<char>& distrust, size_t element_size,
-    const std::function<bool(const Element&, const uint8_t*)>& acceptable) {
-  std::vector<Element> repaired;
-  std::vector<uint8_t> saved(element_size);
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (const Equation& q : layout.equations()) {
-      Element target{};
-      int distrusted_members = 0;
-      bool usable = true;
-      auto consider = [&](const Element& m) {
-        if (dead[static_cast<size_t>(m.col)] != 0) {
-          usable = false;
-          return;
-        }
-        if (distrust[elem_index(layout, m)] != 0) {
-          target = m;
-          ++distrusted_members;
-        }
-      };
-      consider(q.parity);
-      for (const Element& src : q.sources) consider(src);
-      if (!usable || distrusted_members != 1) continue;
-      std::memcpy(saved.data(), s.at(target), element_size);
-      std::memset(s.at(target), 0, element_size);
-      auto fold = [&](const Element& m) {
-        if (m.row == target.row && m.col == target.col) return;
-        xorops::xor_into(s.at(target), s.at(m), element_size);
-      };
-      fold(q.parity);
-      for (const Element& src : q.sources) fold(src);
-      if (!acceptable(target, s.at(target))) {
-        std::memcpy(s.at(target), saved.data(), element_size);
-        continue;
-      }
-      distrust[elem_index(layout, target)] = 0;
-      repaired.push_back(target);
-      progress = true;
-    }
-  }
-  return repaired;
 }
 
 }  // namespace
@@ -150,13 +88,10 @@ ScrubReport Raid6Array::scrub_report(ScrubOptions options) {
   std::mutex agg_mu;
   pool_.parallel_for_chunked(
       static_cast<size_t>(stripes_), [&](size_t begin, size_t end) {
-        Stripe s(layout, element_size_);
+        StripeScratch x(layout, element_size_);
+        const Stripe& s = x.buf;
         std::vector<uint8_t> syndrome(element_size_);
         std::vector<uint8_t> delta(element_size_);
-        std::vector<ReadOp> rops;
-        std::vector<char> dead(static_cast<size_t>(layout.cols()));
-        std::vector<char> distrust(
-            static_cast<size_t>(layout.rows() * layout.cols()));
         std::vector<int> bad;
         ScrubReport local;
         for (size_t st = begin; st < end; ++st) {
@@ -170,137 +105,51 @@ ScrubReport Raid6Array::scrub_report(ScrubOptions options) {
           for (int attempt = 0;; ++attempt) {
             ScrubReport tally;
             try {
-              bool any_dead = false;
-              rops.clear();
-              for (int c = 0; c < layout.cols(); ++c) {
-                const int pd = map_.physical_disk(stripe, c);
-                dead[static_cast<size_t>(c)] =
-                    disk_degraded_for_stripe(pd, stripe) ? 1 : 0;
-                if (dead[static_cast<size_t>(c)] != 0) {
-                  any_dead = true;
-                  continue;
-                }
-                for (int r = 0; r < layout.rows(); ++r) {
-                  rops.push_back({pd, stripe, r, s.at(r, c)});
-                }
-              }
-              // Raw reads: scrub judges the bytes itself, so
-              // verify-on-read must not veto them first.
-              engine_.read_batch(rops, /*verify=*/false);
-
-              // Checksum channel: classify every live element against
-              // the sidecar before any parity math.
-              int64_t distrusted = 0;
-              int64_t corrupt_distrusted = 0;
-              if (use_ck) {
-                std::fill(distrust.begin(), distrust.end(), 0);
-                for (int c = 0; c < layout.cols(); ++c) {
-                  if (dead[static_cast<size_t>(c)] != 0) continue;
-                  const int pd = map_.physical_disk(stripe, c);
-                  for (int r = 0; r < layout.rows(); ++r) {
-                    const IntegrityVerdict v =
-                        engine_.classify_element(pd, stripe, r, s.at(r, c));
-                    if (v == IntegrityVerdict::kCorrupt ||
-                        v == IntegrityVerdict::kMisdirected ||
-                        v == IntegrityVerdict::kStale) {
-                      distrust[elem_index(layout,
-                                          codes::make_element(r, c))] = 1;
-                      ++distrusted;
-                      ++tally.checksum_mismatches;
-                      if (v == IntegrityVerdict::kStale) {
-                        ++tally.elements_stale;
-                      } else {
-                        ++corrupt_distrusted;
-                      }
-                    }
-                  }
+              // Raw reads: scrub judges the bytes itself. With the
+              // checksum channel on, every live element is classified
+              // and the condemned ones are repaired in memory — through
+              // the dead columns when single equations cannot reach
+              // them; nothing is written unless this is a repair scrub.
+              reconstruct_stripe(stripe, x,
+                                 use_ck ? StripeRead::kClassified
+                                        : StripeRead::kRaw,
+                                 /*want_lost=*/false);
+              const bool any_dead = !x.lost_cols.empty();
+              int64_t corrupt_suspects = 0;
+              for (const Suspect& sus : x.suspects) {
+                ++tally.checksum_mismatches;
+                if (sus.verdict == IntegrityVerdict::kStale) {
+                  ++tally.elements_stale;
+                } else {
+                  ++corrupt_suspects;
                 }
               }
 
-              // Erasure-decode fallback for degraded stripes: when the
-              // sidecar condemns elements whose covering equations are
-              // all dead-skipped (or single-equation reconstruction
-              // stalls), treat dead columns AND distrusted elements as
-              // one erasure set and chain-decode across both families.
-              // Candidates are re-verified against the sidecar before
-              // anything is written; on any rejection every buffer is
-              // rolled back and the stripe stays reported instead of
-              // silently wrong.
-              auto decode_through_degraded = [&](ScrubReport& t) {
-                std::vector<Element> lostv;
-                std::vector<Element> suspects;
-                for (int c = 0; c < layout.cols(); ++c) {
-                  for (int r = 0; r < layout.rows(); ++r) {
-                    const Element e = codes::make_element(r, c);
-                    if (dead[static_cast<size_t>(c)] != 0) {
-                      lostv.push_back(e);
-                    } else if (distrust[elem_index(layout, e)] != 0) {
-                      lostv.push_back(e);
-                      suspects.push_back(e);
-                    }
-                  }
-                }
-                if (suspects.empty()) return false;
-                std::vector<std::vector<uint8_t>> saved;
-                saved.reserve(suspects.size());
-                for (const Element& e : suspects) {
-                  saved.emplace_back(s.at(e), s.at(e) + element_size_);
-                }
-                auto restore = [&] {
-                  for (size_t i = 0; i < suspects.size(); ++i) {
-                    std::memcpy(s.at(suspects[i]), saved[i].data(),
-                                element_size_);
-                  }
-                };
-                const auto res = codes::hybrid_decode(s, lostv);
-                if (!res.success) {
-                  restore();
-                  return false;
-                }
-                for (const Element& e : suspects) {
-                  const IntegrityVerdict v = engine_.classify_element(
-                      map_.physical_disk(stripe, e.col), stripe, e.row,
-                      s.at(e));
-                  if (v != IntegrityVerdict::kOk &&
-                      v != IntegrityVerdict::kUntracked) {
-                    restore();
-                    return false;
-                  }
-                }
-                for (const Element& e : suspects) {
-                  engine_.write_element(map_.physical_disk(stripe, e.col),
-                                        stripe, e.row, s.at(e));
-                  distrust[elem_index(layout, e)] = 0;
-                  ++t.elements_located;
-                  ++t.elements_checksum_located;
-                  ++t.elements_repaired;
-                }
-                return true;
-              };
-
-              // Evaluate every parity equation. The first pass counts
-              // into the tally; re-evaluations after a checksum repair
+              // Evaluate every parity equation. The first pass judges
+              // the stripe as found (a suspect's bytes as read) and
+              // counts into the tally; re-evaluations after a repair
               // only refresh `bad`/`delta`.
               bool deltas_agree = true;
-              auto evaluate = [&](bool count) {
+              auto evaluate = [&](bool as_found) {
+                auto at = [&](const Element& e) {
+                  return as_found ? x.as_found(e) : s.at(e);
+                };
                 bad.clear();
                 deltas_agree = true;
                 for (size_t qi = 0; qi < equations.size(); ++qi) {
                   const Equation& eq = equations[qi];
-                  bool skip = dead[static_cast<size_t>(eq.parity.col)] != 0;
+                  bool skip = x.lost(eq.parity.col);
                   for (const Element& src : eq.sources) {
-                    skip = skip || dead[static_cast<size_t>(src.col)] != 0;
+                    skip = skip || x.lost(src.col);
                   }
                   if (skip) {
-                    if (count) ++tally.equations_skipped;
+                    if (as_found) ++tally.equations_skipped;
                     continue;
                   }
-                  if (count) ++tally.equations_checked;
-                  std::memcpy(syndrome.data(), s.at(eq.parity),
-                              element_size_);
+                  if (as_found) ++tally.equations_checked;
+                  std::memcpy(syndrome.data(), at(eq.parity), element_size_);
                   for (const Element& src : eq.sources) {
-                    xorops::xor_into(syndrome.data(), s.at(src),
-                                     element_size_);
+                    xorops::xor_into(syndrome.data(), at(src), element_size_);
                   }
                   if (all_zero(syndrome.data(), element_size_)) continue;
                   if (bad.empty()) {
@@ -313,10 +162,25 @@ ScrubReport Raid6Array::scrub_report(ScrubOptions options) {
                   bad.push_back(static_cast<int>(qi));
                 }
               };
-              evaluate(/*count=*/true);
+              evaluate(/*as_found=*/true);
+              // Writes back every suspect the reconstruction repaired
+              // and re-verified.
+              auto write_repaired = [&] {
+                int64_t n = 0;
+                for (const Suspect& sus : x.suspects) {
+                  if (!sus.repaired) continue;
+                  engine_.write_element(map_.physical_disk(stripe, sus.e.col),
+                                        stripe, sus.e.row, s.at(sus.e));
+                  ++n;
+                }
+                tally.elements_located += n;
+                tally.elements_checksum_located += n;
+                tally.elements_repaired += n;
+                return n;
+              };
 
               if (bad.empty()) {
-                if (distrusted > 0 && corrupt_distrusted == 0) {
+                if (!x.suspects.empty() && corrupt_suspects == 0) {
                   // Every evaluable equation holds, yet the sidecar says
                   // the content is old: a whole-stripe rollback (the
                   // write of data AND parity lost together) — invisible
@@ -328,65 +192,41 @@ ScrubReport Raid6Array::scrub_report(ScrubOptions options) {
                   tally.stale_stripes.push_back(stripe);
                   if (options.repair) {
                     for (int c = 0; c < layout.cols(); ++c) {
-                      if (dead[static_cast<size_t>(c)] != 0) continue;
+                      if (x.lost(c)) continue;
                       const int pd = map_.physical_disk(stripe, c);
                       for (int r = 0; r < layout.rows(); ++r) {
-                        engine_.resync_element_integrity(pd, stripe, r,
-                                                         s.at(r, c));
+                        engine_.resync_element_integrity(
+                            pd, stripe, r,
+                            x.as_found(codes::make_element(r, c)));
                       }
                     }
                   }
-                } else if (distrusted > 0) {
+                } else if (!x.suspects.empty()) {
                   // Corrupt/misdirected verdicts while every evaluable
                   // equation holds: real damage hidden behind
                   // dead-skipped equations (or a parity-consistent
                   // foreign image). NOT a rollback — resyncing would
-                  // bless wrong bytes. Report it, and in repair mode
-                  // erase-decode through the dead columns; sidecar
-                  // re-verification gates the writes.
+                  // bless wrong bytes. Report it; repair mode writes
+                  // back what the reconstruction re-verified.
                   tally.inconsistent_stripes.push_back(stripe);
-                  if (options.repair && !decode_through_degraded(tally)) {
-                    ++tally.stripes_unrepairable;
-                    ++(any_dead ? tally.stripes_skipped_degraded
-                                : tally.stripes_family_disagreement);
+                  if (options.repair) {
+                    write_repaired();
+                    if (x.condemned()) {
+                      ++tally.stripes_unrepairable;
+                      ++(any_dead ? tally.stripes_skipped_degraded
+                                  : tally.stripes_family_disagreement);
+                    }
                   }
                 }
               } else {
                 tally.inconsistent_stripes.push_back(stripe);
                 if (options.repair) {
-                  bool fixed = false;
-                  if (distrusted > 0) {
-                    // Checksum-assisted localization first: the sidecar
-                    // names the condemned elements directly, so repair
-                    // works even where the two families' syndromes
-                    // disagree (several corrupt elements).
-                    const std::vector<Element> found = reconstruct_distrusted(
-                        layout, s, dead, distrust, element_size_,
-                        [&](const Element& e, const uint8_t* p) {
-                          const IntegrityVerdict v = engine_.classify_element(
-                              map_.physical_disk(stripe, e.col), stripe,
-                              e.row, p);
-                          return v == IntegrityVerdict::kOk ||
-                                 v == IntegrityVerdict::kUntracked;
-                        });
-                    for (const Element& e : found) {
-                      engine_.write_element(
-                          map_.physical_disk(stripe, e.col), stripe, e.row,
-                          s.at(e));
-                      ++tally.elements_located;
-                      ++tally.elements_checksum_located;
-                      ++tally.elements_repaired;
-                    }
-                    if (!found.empty()) evaluate(/*count=*/false);
-                    fixed = bad.empty();
-                    if (!fixed && any_dead && decode_through_degraded(tally)) {
-                      // Equation-at-a-time reconstruction stalled on
-                      // dead-skipped equations; the erasure decode
-                      // recovered the condemned elements.
-                      evaluate(/*count=*/false);
-                      fixed = bad.empty();
-                    }
-                  }
+                  // Checksum-assisted localization first: the sidecar
+                  // names the condemned elements directly, so repair
+                  // works even where the two families' syndromes
+                  // disagree (several corrupt elements).
+                  if (write_repaired() > 0) evaluate(/*as_found=*/false);
+                  const bool fixed = bad.empty();
                   if (!fixed && (any_dead || !deltas_agree)) {
                     // Skipped equations make the membership comparison
                     // unsound; disagreeing deltas mean >1 corrupt
@@ -413,7 +253,7 @@ ScrubReport Raid6Array::scrub_report(ScrubOptions options) {
                       ++tally.stripes_family_disagreement;
                     } else {
                       ++tally.elements_located;
-                      xorops::xor_into(s.at(culprit), delta.data(),
+                      xorops::xor_into(x.buf.at(culprit), delta.data(),
                                        element_size_);
                       engine_.write_element(
                           map_.physical_disk(stripe, culprit.col), stripe,
@@ -508,77 +348,45 @@ void Raid6Array::clean_stripe_integrity(int64_t stripe) {
   const CodeLayout& layout = *layout_;
   obs::Span span(obs::TraceLog::global(), "integrity.clean_stripe",
                  {{"stripe", stripe}});
-  Stripe s(layout, element_size_);
-  std::vector<char> dead(static_cast<size_t>(layout.cols()), 0);
-  std::vector<char> distrust(
-      static_cast<size_t>(layout.rows() * layout.cols()), 0);
-  std::vector<ReadOp> rops;
-  for (int c = 0; c < layout.cols(); ++c) {
-    const int pd = map_.physical_disk(stripe, c);
-    dead[static_cast<size_t>(c)] =
-        disk_degraded_for_stripe(pd, stripe) ? 1 : 0;
-    if (dead[static_cast<size_t>(c)] != 0) continue;
-    for (int r = 0; r < layout.rows(); ++r) {
-      rops.push_back({pd, stripe, r, s.at(r, c)});
-    }
+  StripeScratch x(layout, element_size_);
+  reconstruct_stripe(stripe, x, StripeRead::kClassified, /*want_lost=*/false);
+  std::vector<Element> repaired;
+  for (const Suspect& sus : x.suspects) {
+    if (sus.repaired) repaired.push_back(sus.e);
   }
-  engine_.read_batch(rops, /*verify=*/false);
-  int64_t condemned = 0;
-  for (int c = 0; c < layout.cols(); ++c) {
-    if (dead[static_cast<size_t>(c)] != 0) continue;
-    const int pd = map_.physical_disk(stripe, c);
-    for (int r = 0; r < layout.rows(); ++r) {
-      const IntegrityVerdict v =
-          engine_.classify_element(pd, stripe, r, s.at(r, c));
-      if (v == IntegrityVerdict::kCorrupt ||
-          v == IntegrityVerdict::kMisdirected ||
-          v == IntegrityVerdict::kStale) {
-        distrust[elem_index(layout, codes::make_element(r, c))] = 1;
-        ++condemned;
-      }
-    }
-  }
-  std::vector<Element> repaired = reconstruct_distrusted(
-      layout, s, dead, distrust, element_size_,
-      [&](const Element& e, const uint8_t* p) {
-        const IntegrityVerdict v = engine_.classify_element(
-            map_.physical_disk(stripe, e.col), stripe, e.row, p);
-        return v == IntegrityVerdict::kOk ||
-               v == IntegrityVerdict::kUntracked;
-      });
   // Data is authoritative for derived parity: an equation whose members
   // are all live and trusted but which still fails can only be the
   // mid-update window (the data writes landed, the parity catch-up write
   // never did because verify condemned its pre-read) — re-encode that
   // parity from its sources so the retried RMW starts from a consistent
   // stripe.
+  auto trusted = [&](const Element& e) {
+    if (x.lost(e.col)) return false;
+    for (const Suspect& sus : x.suspects) {
+      if (sus.e == e && !sus.repaired) return false;
+    }
+    return true;
+  };
   std::vector<uint8_t> syndrome(element_size_);
   for (const Equation& q : layout.equations()) {
-    if (dead[static_cast<size_t>(q.parity.col)] != 0 ||
-        distrust[elem_index(layout, q.parity)] != 0) {
-      continue;
-    }
-    bool usable = true;
-    for (const Element& src : q.sources) {
-      usable = usable && dead[static_cast<size_t>(src.col)] == 0 &&
-               distrust[elem_index(layout, src)] == 0;
-    }
+    bool usable = trusted(q.parity);
+    for (const Element& src : q.sources) usable = usable && trusted(src);
     if (!usable) continue;
-    std::memcpy(syndrome.data(), s.at(q.parity), element_size_);
+    std::memcpy(syndrome.data(), x.buf.at(q.parity), element_size_);
     for (const Element& src : q.sources) {
-      xorops::xor_into(syndrome.data(), s.at(src), element_size_);
+      xorops::xor_into(syndrome.data(), x.buf.at(src), element_size_);
     }
     if (all_zero(syndrome.data(), element_size_)) continue;
-    xorops::xor_into(s.at(q.parity), syndrome.data(), element_size_);
+    xorops::xor_into(x.buf.at(q.parity), syndrome.data(), element_size_);
     repaired.push_back(q.parity);
   }
   for (const Element& e : repaired) {
     engine_.write_element(map_.physical_disk(stripe, e.col), stripe, e.row,
-                          s.at(e));
+                          x.buf.at(e));
   }
   if (!repaired.empty()) metrics_.integrity_write_repairs->inc();
   span.note("integrity.clean_stripe.done",
-            {{"condemned", condemned},
+            {{"condemned", static_cast<int64_t>(x.suspects.size())},
              {"repaired", static_cast<int64_t>(repaired.size())}});
 }
 
@@ -598,98 +406,48 @@ void Raid6Array::salvage_stripe_rewrite(int64_t stripe, int64_t g,
   const CodeLayout& layout = *layout_;
   obs::Span span(obs::TraceLog::global(), "integrity.salvage_rewrite",
                  {{"stripe", stripe}});
-  Stripe s(layout, element_size_);
-  std::vector<char> dead(static_cast<size_t>(layout.cols()), 0);
-  std::vector<char> distrust(
-      static_cast<size_t>(layout.rows() * layout.cols()), 0);
-  std::vector<Element> lost;
-  std::vector<ReadOp> rops;
-  for (int c = 0; c < layout.cols(); ++c) {
-    const int pd = map_.physical_disk(stripe, c);
-    dead[static_cast<size_t>(c)] =
-        disk_degraded_for_stripe(pd, stripe) ? 1 : 0;
-    for (int r = 0; r < layout.rows(); ++r) {
-      if (dead[static_cast<size_t>(c)] != 0) {
-        lost.push_back(codes::make_element(r, c));
-      } else {
-        rops.push_back({pd, stripe, r, s.at(r, c)});
-      }
-    }
-  }
-  engine_.read_batch(rops, /*verify=*/false);
-  if (engine_.integrity_enabled()) {
-    for (int c = 0; c < layout.cols(); ++c) {
-      if (dead[static_cast<size_t>(c)] != 0) continue;
-      const int pd = map_.physical_disk(stripe, c);
-      for (int r = 0; r < layout.rows(); ++r) {
-        const IntegrityVerdict v =
-            engine_.classify_element(pd, stripe, r, s.at(r, c));
-        if (v == IntegrityVerdict::kCorrupt ||
-            v == IntegrityVerdict::kMisdirected ||
-            v == IntegrityVerdict::kStale) {
-          distrust[elem_index(layout, codes::make_element(r, c))] = 1;
-        }
-      }
-    }
-  }
   // Condemned elements whose pre-update payload is still derivable come
-  // back through equations with trusted members; each candidate is
-  // re-verified against the sidecar, so mid-update parity cannot fake a
-  // salvage.
-  std::vector<Element> salvaged = reconstruct_distrusted(
-      layout, s, dead, distrust, element_size_,
-      [&](const Element& e, const uint8_t* p) {
-        const IntegrityVerdict v = engine_.classify_element(
-            map_.physical_disk(stripe, e.col), stripe, e.row, p);
-        return v == IntegrityVerdict::kOk ||
-               v == IntegrityVerdict::kUntracked;
-      });
+  // back re-verified against the sidecar, so mid-update parity cannot
+  // fake a salvage; the lost columns are decoded through them.
+  StripeScratch x(layout, element_size_);
+  const bool decoded =
+      reconstruct_stripe(stripe, x, StripeRead::kClassified);
   // Parity is recomputed from the data below, so condemned parity needs
   // no old bytes; neither does a data element the incoming write covers
-  // wholesale. Anything else still distrusted is genuinely gone —
-  // refuse rather than hand the caller silent garbage.
-  for (const Equation& q : layout.equations()) {
-    distrust[elem_index(layout, q.parity)] = 0;
-  }
-  std::vector<char> covered(distrust.size(), 0);
+  // wholesale. Anything else still condemned is genuinely gone — refuse
+  // rather than hand the caller silent garbage.
+  std::vector<Element> covered;
   for (int64_t e = g; e <= stripe_end; ++e) {
-    const auto loc = map_.locate(e);
     size_t eb, sb, len;
     overlay_range(e, offset, static_cast<int64_t>(data.size()),
                   static_cast<int64_t>(element_size_), &eb, &sb, &len);
-    if (len == element_size_) covered[elem_index(layout, loc.element)] = 1;
+    if (len == element_size_) covered.push_back(map_.locate(e).element);
   }
-  bool garbage_left = false;
-  for (int c = 0; c < layout.cols(); ++c) {
-    for (int r = 0; r < layout.rows(); ++r) {
-      const size_t idx = elem_index(layout, codes::make_element(r, c));
-      if (distrust[idx] == 0) continue;
-      garbage_left = true;
-      if (covered[idx] == 0) {
-        throw ElementIntegrityError(map_.physical_disk(stripe, c), stripe, r,
-                                    IntegrityVerdict::kCorrupt);
-      }
+  for (const Suspect& sus : x.suspects) {
+    if (sus.repaired || layout.is_parity(sus.e.row, sus.e.col) ||
+        std::find(covered.begin(), covered.end(), sus.e) != covered.end()) {
+      continue;
     }
+    throw ElementIntegrityError(map_.physical_disk(stripe, sus.e.col), stripe,
+                                sus.e.row, sus.verdict);
   }
-  if (!lost.empty()) {
+  if (!x.lost_cols.empty()) {
     // Decoding a dead column folds parity, which is only sound when the
-    // surviving stripe is internally consistent (pre-update). Mid-update
-    // or residual-garbage state cannot be decoded through — refuse
-    // instead of writing back a silently wrong reconstruction.
-    if (garbage_left) {
-      throw ElementIntegrityError(map_.physical_disk(stripe, 0), stripe, 0,
-                                  IntegrityVerdict::kCorrupt);
-    }
+    // surviving stripe is internally consistent (pre-update). Residual
+    // condemned state or a failing fully-live equation (mid-update)
+    // cannot be decoded through — refuse instead of writing back a
+    // silently wrong reconstruction.
+    if (!decoded) throw_unrecovered(stripe, x);
     std::vector<uint8_t> syndrome(element_size_);
     for (const Equation& q : layout.equations()) {
-      bool usable = dead[static_cast<size_t>(q.parity.col)] == 0;
+      bool usable = !x.lost(q.parity.col);
       for (const Element& src : q.sources) {
-        usable = usable && dead[static_cast<size_t>(src.col)] == 0;
+        usable = usable && !x.lost(src.col);
       }
       if (!usable) continue;
-      std::memcpy(syndrome.data(), s.at(q.parity), element_size_);
+      std::memcpy(syndrome.data(), x.buf.at(q.parity), element_size_);
       for (const Element& src : q.sources) {
-        xorops::xor_into(syndrome.data(), s.at(src), element_size_);
+        xorops::xor_into(syndrome.data(), x.buf.at(src), element_size_);
       }
       if (!all_zero(syndrome.data(), element_size_)) {
         throw ElementIntegrityError(map_.physical_disk(stripe, q.parity.col),
@@ -697,31 +455,31 @@ void Raid6Array::salvage_stripe_rewrite(int64_t stripe, int64_t g,
                                     IntegrityVerdict::kCorrupt);
       }
     }
-    auto res = codes::hybrid_decode(s, lost);
-    DCODE_CHECK(res.success, "stripe unrecoverable (more than two failures)");
-    metrics_.elements_reconstructed->inc(static_cast<int64_t>(lost.size()));
   }
   for (int64_t e = g; e <= stripe_end; ++e) {
     const auto loc = map_.locate(e);
     size_t eb, sb, len;
     overlay_range(e, offset, static_cast<int64_t>(data.size()),
                   static_cast<int64_t>(element_size_), &eb, &sb, &len);
-    std::memcpy(s.at(loc.element) + eb, data.data() + sb, len);
+    std::memcpy(x.buf.at(loc.element) + eb, data.data() + sb, len);
   }
-  codes::encode_stripe(s);
-  std::vector<WriteOp> wops;
+  codes::encode_stripe(x.buf);
+  x.wops.clear();
   for (int c = 0; c < layout.cols(); ++c) {
-    if (dead[static_cast<size_t>(c)] != 0) continue;
+    if (x.lost(c)) continue;
     const int pd = map_.physical_disk(stripe, c);
     for (int r = 0; r < layout.rows(); ++r) {
-      wops.push_back({pd, stripe, r, s.at(r, c)});
+      x.wops.push_back({pd, stripe, r, x.buf.at(r, c)});
     }
   }
-  engine_.write_batch(wops);
+  engine_.write_batch(x.wops);
   metrics_.integrity_write_repairs->inc();
+  const auto salvaged =
+      std::count_if(x.suspects.begin(), x.suspects.end(),
+                    [](const Suspect& sus) { return sus.repaired; });
   span.note("integrity.salvage_rewrite.done",
-            {{"salvaged", static_cast<int64_t>(salvaged.size())},
-             {"writes", static_cast<int64_t>(wops.size())}});
+            {{"salvaged", static_cast<int64_t>(salvaged)},
+             {"writes", static_cast<int64_t>(x.wops.size())}});
 }
 
 }  // namespace dcode::raid

@@ -5,15 +5,18 @@
 // from parity, and the scrub contracts only the checksum channel can
 // honor — repairing family-disagreement stripes parity-only scrub must
 // refuse, localizing through degraded stripes, and reporting
-// parity-consistent whole-stripe stale writes.
+// parity-consistent whole-stripe stale writes — and rebuilds and
+// degraded writes that repair a condemned survivor on the way.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -735,6 +738,90 @@ TEST(RebuildCondemnedSurvivor, BeyondToleranceStandsDownVisibly) {
   const std::string line = t.substr(at, t.find('\n', at) - at);
   EXPECT_NE(line.find("undecodable"), std::string::npos) << line;
   EXPECT_NE(line.find("\"stripe\":0"), std::string::npos) << line;
+}
+
+// --- degraded write through a checksum-condemned survivor ------------------
+
+// dcode p=7, 256 B elements, one failed disk and no spare. 16 bytes of one
+// live element of stripe 0 are flipped behind the array's back, then a
+// 16-byte write lands in the same stripe. One dead column plus one
+// condemned element is within the code's two-column tolerance, so the
+// write must decode through both, succeed, and leave the stripe exact
+// and clean — for every dead disk and every live (disk, row). The write
+// target does not change the outcome; first, middle and last data
+// element stand in for the rest.
+TEST(DegradedWriteCondemnedSurvivor, EveryDeadDiskAndVictimRepairs) {
+  constexpr int64_t kSweepStripes = 2;
+  auto probe = codes::make_layout("dcode", 7);
+  const int cols = probe->cols();
+  const int rows = probe->rows();
+  const int64_t data_count = probe->data_count();
+  int cases = 0;
+  int threw = 0;
+  int wrong_bytes = 0;
+  int scrub_dirty = 0;
+  int victim_condemned = 0;
+  std::string first_failure;
+  auto fail = [&](int* counter, const std::string& what) {
+    if (first_failure.empty()) first_failure = what;
+    ++*counter;
+  };
+  for (int dead = 0; dead < cols; ++dead) {
+    for (int vdisk = 0; vdisk < cols; ++vdisk) {
+      if (vdisk == dead) continue;
+      for (int vrow = 0; vrow < rows; ++vrow) {
+        for (int64_t target : {int64_t{0}, data_count / 2, data_count - 1}) {
+          ++cases;
+          const std::string where =
+              "dead " + std::to_string(dead) + ", victim disk " +
+              std::to_string(vdisk) + " row " + std::to_string(vrow) +
+              ", target " + std::to_string(target);
+          obs::Registry reg;
+          Raid6Array array(codes::make_layout("dcode", 7), kElem,
+                           kSweepStripes, 1, &reg);
+          Pcg32 rng(static_cast<uint64_t>(cases));
+          auto expect = random_blob(rng, static_cast<size_t>(array.capacity()));
+          array.write(0, expect);
+          array.fail_disk(dead);
+
+          const uint64_t victim = element_device_offset(0, vrow, rows);
+          std::vector<uint8_t> bytes(16);
+          array.disk(vdisk).read(victim, bytes);
+          for (uint8_t& b : bytes) b ^= 0x5A;
+          array.disk(vdisk).write(victim, bytes);
+
+          const int64_t at = target * static_cast<int64_t>(kElem) + 8;
+          auto patch = random_blob(rng, 16);
+          std::copy(patch.begin(), patch.end(), expect.begin() + at);
+          try {
+            array.write(at, patch);
+          } catch (const std::exception& e) {
+            fail(&threw, where + ": write threw " + e.what());
+            continue;
+          }
+          std::vector<uint8_t> out(expect.size());
+          array.read(0, out);
+          if (out != expect) fail(&wrong_bytes, where + ": wrong bytes");
+          const ScrubReport rep = array.scrub_report();
+          if (!rep.inconsistent_stripes.empty() ||
+              rep.checksum_mismatches != 0 || rep.stripes_unrepairable != 0) {
+            fail(&scrub_dirty, where + ": scrub not clean");
+          }
+          std::vector<uint8_t> elem(kElem);
+          array.disk(vdisk).read(victim, elem);
+          if (array.io_engine().classify_element(vdisk, 0, vrow, elem.data()) !=
+              IntegrityVerdict::kOk) {
+            fail(&victim_condemned, where + ": victim still condemned");
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, cols * (cols - 1) * rows * 3);
+  EXPECT_EQ(threw, 0) << first_failure;
+  EXPECT_EQ(wrong_bytes, 0) << first_failure;
+  EXPECT_EQ(scrub_dirty, 0) << first_failure;
+  EXPECT_EQ(victim_condemned, 0) << first_failure;
 }
 
 }  // namespace

@@ -189,9 +189,9 @@ TEST(RuntimeVsPlanner, OperationCountersTrackWhatHappened) {
   // Latency histograms observed one sample per operation.
   auto snap = reg.snapshot();
   for (const auto& m : snap.metrics) {
-    if (m.name == "raid.read_latency_ns") {
+    if (m.name == "raid.read_latency_fine_ns") {
       EXPECT_EQ(m.count, 3);
-    } else if (m.name == "raid.write_latency_ns") {
+    } else if (m.name == "raid.write_latency_fine_ns") {
       EXPECT_EQ(m.count, 2);
     } else if (m.name == "raid.rebuild_latency_ns") {
       EXPECT_EQ(m.count, 1);
