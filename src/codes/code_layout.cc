@@ -112,6 +112,10 @@ void CodeLayout::finalize() {
   }
   DCODE_CHECK(encode_order_.size() == equations_.size(),
               "cyclic parity dependencies — layout cannot be encoded");
+  encode_rank_.assign(equations_.size(), 0);
+  for (size_t i = 0; i < encode_order_.size(); ++i) {
+    encode_rank_[static_cast<size_t>(encode_order_[i])] = static_cast<int>(i);
+  }
 }
 
 std::vector<Element> CodeLayout::elements_on_disk(int disk) const {

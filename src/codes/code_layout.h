@@ -72,6 +72,10 @@ class CodeLayout {
   // sources include other parities come after those parities' equations).
   // Empty only if the parity system is cyclic — no code in this library is.
   const std::vector<int>& encode_order() const { return encode_order_; }
+  // Position of equation `qi` in encode_order().
+  int encode_rank(int qi) const {
+    return encode_rank_[static_cast<size_t>(qi)];
+  }
 
   // --- Logical data addressing -------------------------------------------
   // Data elements are numbered row-major (the papers' "continuous data
@@ -121,6 +125,7 @@ class CodeLayout {
   std::vector<std::vector<int>> membership_;
   std::vector<int> parity_equation_;
   std::vector<int> encode_order_;
+  std::vector<int> encode_rank_;
   std::vector<Element> data_elements_;
   std::vector<int> data_index_;
 };

@@ -35,7 +35,8 @@ namespace detail {
 int this_thread_trace_id();
 }  // namespace detail
 
-// One key/value attribute on an event or span.
+// One key/value attribute on an event or span. Keys and string values
+// must outlive the call they are passed to.
 struct TraceAttr {
   enum class Kind { kInt, kDouble, kString, kBool };
 
@@ -53,11 +54,14 @@ struct TraceAttr {
   TraceAttr(std::string_view k, const char* v)
       : key(k), kind(Kind::kString), s(v) {}
 
-  std::string key;
+  // Views, not copies: attributes are consumed before the emitting call
+  // returns, so a span or event built while tracing is off formats and
+  // allocates nothing.
+  std::string_view key;
   Kind kind;
   int64_t i = 0;
   double d = 0;
-  std::string s;
+  std::string_view s;
   bool b = false;
 };
 

@@ -47,6 +47,13 @@ class AddressMap {
     return static_cast<int>((col + stripe) % layout_->cols());
   }
 
+  // Physical disk -> column for a given stripe: physical_disk's inverse.
+  int logical_col(int64_t stripe, int disk) const {
+    if (!rotate_) return disk;
+    const int cols = layout_->cols();
+    return (disk - static_cast<int>(stripe % cols) + cols) % cols;
+  }
+
  private:
   const codes::CodeLayout* layout_;
   bool rotate_;

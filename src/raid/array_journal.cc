@@ -65,7 +65,8 @@ int64_t Raid6Array::journal_recover() {
                  {{"open_intents", static_cast<int64_t>(open.size())}});
   metrics_.journal_recoveries->inc();
   int64_t repaired = 0;
-  StripeScratch x(layout, element_size_);
+  OpScratchLease lease(*this);
+  StripeScratch& x = lease->stripe();
   for (int64_t stripe : open) {
     // Re-encode parity from whatever data survived the crash: every data
     // element is individually consistent (element writes are atomic), so
@@ -82,13 +83,13 @@ int64_t Raid6Array::journal_recover() {
     }
     Stripe& s = x.buf;
     codes::encode_stripe(s);
-    std::vector<StripeIoEngine::WriteOp> wops;
+    x.wops.clear();
     for (const Equation& q : layout.equations()) {
       const int pd = map_.physical_disk(stripe, q.parity.col);
       if (disk_degraded_for_stripe(pd, stripe)) continue;
-      wops.push_back({pd, stripe, q.parity.row, s.at(q.parity)});
+      x.wops.push_back({pd, stripe, q.parity.row, s.at(q.parity)});
     }
-    engine_.write_batch(wops);
+    engine_.write_batch(x.wops);
     // The stripe invariant is restored: re-derive every live element's
     // checksum + identity tag from the now-authoritative content, so
     // records stranded by the crash (or torn sidecar slots on reopen)

@@ -2,9 +2,8 @@
 // planner-driven degraded reads, both over reconstruct_stripe() when a
 // whole stripe is needed. Split from raid6_array.cc so the core policy
 // file stays readable.
+#include <algorithm>
 #include <cstring>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "codes/encoder.h"
@@ -23,8 +22,9 @@ using codes::Stripe;
 using ReadOp = StripeIoEngine::ReadOp;
 using WriteOp = StripeIoEngine::WriteOp;
 
-void Raid6Array::write_stripe_degraded(int64_t stripe, int64_t g,
-                                       int64_t stripe_end, int64_t offset,
+void Raid6Array::write_stripe_degraded(StripeScratch& x, int64_t stripe,
+                                       int64_t g, int64_t stripe_end,
+                                       int64_t offset,
                                        std::span<const uint8_t> data) {
   // Stripe-rewrite policy: reconstruct, modify, re-encode, then write
   // back only the touched surviving data elements plus every surviving
@@ -32,13 +32,10 @@ void Raid6Array::write_stripe_degraded(int64_t stripe, int64_t g,
   // survivor the reconstruction repaired, so the sidecar-verified bytes
   // replace the bad ones with the stripe.
   const CodeLayout& layout = *layout_;
-  StripeScratch x(layout, element_size_);
   if (!reconstruct_stripe(stripe, x, StripeRead::kVerified)) {
     throw_unrecovered(stripe, x);
   }
   Stripe& s = x.buf;
-  std::set<Element> touched;
-  for (const Suspect& sus : x.suspects) touched.insert(sus.e);
   if (!x.suspects.empty()) metrics_.integrity_write_repairs->inc();
   for (int64_t e = g; e <= stripe_end; ++e) {
     auto loc = map_.locate(e);
@@ -46,9 +43,19 @@ void Raid6Array::write_stripe_degraded(int64_t stripe, int64_t g,
     overlay_range(e, offset, static_cast<int64_t>(data.size()),
                   static_cast<int64_t>(element_size_), &eb, &sb, &len);
     std::memcpy(s.at(loc.element) + eb, data.data() + sb, len);
-    touched.insert(loc.element);
   }
   codes::encode_stripe(s);
+  // Touched: a data element of [g, stripe_end], or a repaired suspect.
+  const int64_t lo = g - stripe * layout.data_count();
+  const int64_t hi = stripe_end - stripe * layout.data_count();
+  auto write_back = [&](int r, int c) {
+    if (layout.is_parity(r, c)) return true;
+    if (x.suspect_at[static_cast<size_t>(r * layout.cols() + c)] >= 0) {
+      return true;
+    }
+    const int di = layout.data_index(r, c);
+    return di >= lo && di <= hi;
+  };
   // Write phase with internal failover: once the first write lands the
   // on-disk stripe mixes old and new state, so another disk dying here
   // must NOT trigger a re-load (decoding through half-updated parity
@@ -57,18 +64,17 @@ void Raid6Array::write_stripe_degraded(int64_t stripe, int64_t g,
   // since; rebuild reconstructs their elements from the survivors.
   for (int attempt = 0;; ++attempt) {
     try {
-      std::vector<WriteOp> wops;
+      x.wops.clear();
       for (int r = 0; r < layout.rows(); ++r) {
         for (int c = 0; c < layout.cols(); ++c) {
           int pdisk = map_.physical_disk(stripe, c);
           if (disk_degraded_for_stripe(pdisk, stripe)) continue;
-          Element e = codes::make_element(r, c);
-          if (layout.is_parity(r, c) || touched.count(e)) {
-            wops.push_back({pdisk, stripe, r, s.at(r, c)});
+          if (write_back(r, c)) {
+            x.wops.push_back({pdisk, stripe, r, s.at(r, c)});
           }
         }
       }
-      engine_.write_batch(wops);
+      engine_.write_batch(x.wops);
       return;
     } catch (const DiskFailedError&) {
       if (attempt >= kMaxFailoverAttempts) throw;
@@ -77,11 +83,13 @@ void Raid6Array::write_stripe_degraded(int64_t stripe, int64_t g,
   }
 }
 
-void Raid6Array::read_degraded(int64_t first, int64_t last, int64_t offset,
-                               std::span<uint8_t> out,
+void Raid6Array::read_degraded(OpScratch& x, int64_t first, int64_t last,
+                               int64_t offset, std::span<uint8_t> out,
                                const std::vector<int>& failed) {
   const CodeLayout& layout = *layout_;
   const int64_t esize = static_cast<int64_t>(element_size_);
+  const int64_t end = offset + static_cast<int64_t>(out.size());
+  const int64_t dps = layout.data_count();
   // Follow the planner's per-element equation choices.
   IoPlan plan = planner_.plan_degraded_read(first,
                                             static_cast<int>(last - first + 1),
@@ -92,70 +100,92 @@ void Raid6Array::read_degraded(int64_t first, int64_t last, int64_t offset,
        {"failed_disks", static_cast<int64_t>(failed.size())},
        {"plan_reads", plan.reads()},
        {"reconstructions", static_cast<int64_t>(plan.reconstructions.size())}});
-  // Scratch cache of element buffers per (stripe, element).
-  struct Key {
-    int64_t stripe;
-    Element e;
-    bool operator<(const Key& o) const {
-      return stripe != o.stripe ? stripe < o.stripe : e < o.e;
-    }
-  };
-  std::map<Key, AlignedBuffer> cache;
-
-  std::vector<ReadOp> rops;
-  rops.reserve(plan.accesses.size());
-  for (const IoAccess& a : plan.accesses) {
-    DCODE_ASSERT(!a.is_write, "degraded read plan must not write");
-    auto [it, fresh] =
-        cache.emplace(Key{a.stripe, a.element}, AlignedBuffer(element_size_));
-    (void)fresh;  // duplicate plan reads share a buffer but still count
-    rops.push_back({a.disk, a.stripe, a.element.row, it->second.data()});
-  }
-  engine_.read_batch(rops);
-
-  for (const Reconstruction& rec : plan.reconstructions) {
-    AlignedBuffer buf(element_size_);
-    if (rec.equation >= 0) {
-      const Equation& q = layout.equations()[static_cast<size_t>(rec.equation)];
-      auto fold = [&](const Element& m) {
-        if (m == rec.target) return;
-        auto it = cache.find(Key{rec.stripe, m});
-        DCODE_CHECK(it != cache.end(),
-                    "planner promised this member was read");
-        xorops::xor_into(buf.data(), it->second.data(), element_size_);
-      };
-      fold(q.parity);
-      for (const Element& m : q.sources) fold(m);
-    } else {
-      // Full-stripe chained decode fallback (two failed disks crossing
-      // every equation of the target).
-      // The read path never writes back: scrub owns durable repair.
-      span.note("full_stripe_decode", {{"stripe", rec.stripe}});
-      StripeScratch x(layout, element_size_);
-      if (!reconstruct_stripe(rec.stripe, x, StripeRead::kVerified)) {
-        throw_unrecovered(rec.stripe, x);
+  // The plan lists its reads and reconstructions stripe by stripe; each
+  // stripe runs as one batch. A fully covered requested element is read
+  // or rebuilt straight into the caller's buffer; every other element
+  // the plan touches gets an element buffer, at most one stripe's worth.
+  size_t a = 0;  // cursors into plan.accesses / plan.reconstructions
+  size_t r = 0;
+  int64_t eq_recs = 0;
+  for (int64_t stripe = first / dps; stripe <= last / dps; ++stripe) {
+    const int64_t lo = std::max(first, stripe * dps);
+    const int64_t hi = std::min(last, (stripe + 1) * dps - 1);
+    std::fill(x.where.begin(), x.where.end(), nullptr);
+    auto where = [&](const Element& e) -> uint8_t*& {
+      return x.where[static_cast<size_t>(e.row * layout.cols() + e.col)];
+    };
+    size_t used = 0;
+    auto buffer_of = [&](const Element& e) {
+      uint8_t*& buf = where(e);
+      if (buf != nullptr) return buf;
+      const int di = layout.data_index(e.row, e.col);
+      const int64_t g = stripe * dps + di;
+      if (di >= 0 && g >= lo && g <= hi && g * esize >= offset &&
+          (g + 1) * esize <= end) {
+        buf = out.data() + (g * esize - offset);
+      } else {
+        buf = x.element(used++);
       }
-      std::memcpy(buf.data(), x.buf.at(rec.target), element_size_);
+      return buf;
+    };
+
+    x.rops.clear();
+    for (; a < plan.accesses.size() && plan.accesses[a].stripe == stripe;
+         ++a) {
+      const IoAccess& acc = plan.accesses[a];
+      DCODE_ASSERT(!acc.is_write, "degraded read plan must not write");
+      // Duplicate plan reads share a buffer but still count.
+      x.rops.push_back({acc.disk, stripe, acc.element.row,
+                        buffer_of(acc.element)});
     }
-    cache.emplace(Key{rec.stripe, rec.target}, std::move(buf));
+    engine_.read_batch(x.rops);
+
+    for (; r < plan.reconstructions.size() &&
+           plan.reconstructions[r].stripe == stripe;
+         ++r) {
+      const Reconstruction& rec = plan.reconstructions[r];
+      uint8_t* dst = buffer_of(rec.target);
+      if (rec.equation >= 0) {
+        const Equation& q =
+            layout.equations()[static_cast<size_t>(rec.equation)];
+        x.srcs.clear();
+        auto fold = [&](const Element& m) {
+          if (m == rec.target) return;
+          DCODE_CHECK(where(m) != nullptr,
+                      "planner promised this member was read");
+          x.srcs.push_back(where(m));
+        };
+        fold(q.parity);
+        for (const Element& m : q.sources) fold(m);
+        xorops::xor_many(dst, x.srcs, element_size_);
+        ++eq_recs;
+      } else {
+        // Full-stripe chained decode fallback (two failed disks crossing
+        // every equation of the target).
+        // The read path never writes back: scrub owns durable repair.
+        span.note("full_stripe_decode", {{"stripe", rec.stripe}});
+        StripeScratch& s = x.stripe();
+        if (!reconstruct_stripe(rec.stripe, s, StripeRead::kVerified)) {
+          throw_unrecovered(rec.stripe, s);
+        }
+        std::memcpy(dst, s.buf.at(rec.target), element_size_);
+      }
+    }
+
+    for (int64_t e = lo; e <= hi; ++e) {
+      const uint8_t* buf = where(map_.locate(e).element);
+      DCODE_CHECK(buf != nullptr, "requested element missing from plan");
+      size_t eb, sb, len;
+      overlay_range(e, offset, static_cast<int64_t>(out.size()), esize, &eb,
+                    &sb, &len);
+      if (len < element_size_) std::memcpy(out.data() + sb, buf + eb, len);
+    }
   }
+  DCODE_ASSERT(a == plan.accesses.size() && r == plan.reconstructions.size(),
+               "degraded read plan must run stripe by stripe");
   // Equation-based reconstructions (the fallback already counted its own
   // rebuilt elements inside reconstruct_stripe).
-  int64_t eq_recs = 0;
-  for (const Reconstruction& rec : plan.reconstructions) {
-    if (rec.equation >= 0) ++eq_recs;
-  }
   metrics_.elements_reconstructed->inc(eq_recs);
-
-  for (int64_t e = first; e <= last; ++e) {
-    auto loc = map_.locate(e);
-    auto it = cache.find(Key{loc.stripe, loc.element});
-    DCODE_CHECK(it != cache.end(), "requested element missing from plan");
-    size_t eb, sb, len;
-    overlay_range(e, offset, static_cast<int64_t>(out.size()), esize, &eb,
-                  &sb, &len);
-    std::memcpy(out.data() + sb, it->second.data() + eb, len);
-  }
 }
 
 }  // namespace dcode::raid

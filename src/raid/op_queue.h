@@ -9,7 +9,7 @@
 // past anything it could conflict with. The union stays contiguous by
 // induction (each absorbed op touches it), which is what lets D-Code's
 // consecutive-elements-share-one-horizontal-parity property turn k
-// queued partial writes into one RMW/RCW plan.
+// queued partial writes into one read-modify-write update.
 //
 // Backpressure: push() blocks while the queue is at depth. close()
 // wakes everyone; pops drain the remainder and then return false.

@@ -1,7 +1,6 @@
 #include "raid/planner.h"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <optional>
 #include <set>
@@ -105,32 +104,35 @@ PeelSchedule build_peel_schedule(const CodeLayout& layout,
 
 }  // namespace
 
-std::vector<int> dirty_parity_closure(
-    const CodeLayout& layout, std::span<const Element> written) {
-  std::vector<char> eq_dirty(layout.equations().size(), 0);
-  std::vector<int> dirty;
-  std::deque<Element> work(written.begin(), written.end());
-  while (!work.empty()) {
-    Element x = work.front();
-    work.pop_front();
+void dirty_parity_closure(const CodeLayout& layout,
+                          std::span<const Element> written,
+                          std::vector<int>& dirty) {
+  dirty.clear();
+  // Breadth-first: the written elements, then the parity of every
+  // equation found dirty (`dirty` doubles as the queue).
+  auto visit = [&](const Element& x) {
     for (int qi : layout.equations_containing(x.row, x.col)) {
       const Equation& q = layout.equations()[static_cast<size_t>(qi)];
       if (q.parity == x) continue;  // x *stores* this equation
-      if (!eq_dirty[static_cast<size_t>(qi)]) {
-        eq_dirty[static_cast<size_t>(qi)] = 1;
+      if (std::find(dirty.begin(), dirty.end(), qi) == dirty.end()) {
         dirty.push_back(qi);
-        work.push_back(q.parity);
       }
     }
+  };
+  for (const Element& x : written) visit(x);
+  for (size_t i = 0; i < dirty.size(); ++i) {
+    visit(layout.equations()[static_cast<size_t>(dirty[i])].parity);
   }
   // Topological order (the layout's encode order restricted to dirty).
-  std::vector<int> rank(layout.equations().size(), 0);
-  const auto& order = layout.encode_order();
-  for (size_t i = 0; i < order.size(); ++i)
-    rank[static_cast<size_t>(order[i])] = static_cast<int>(i);
-  std::sort(dirty.begin(), dirty.end(),
-            [&](int a, int b) { return rank[static_cast<size_t>(a)] <
-                                       rank[static_cast<size_t>(b)]; });
+  std::sort(dirty.begin(), dirty.end(), [&](int a, int b) {
+    return layout.encode_rank(a) < layout.encode_rank(b);
+  });
+}
+
+std::vector<int> dirty_parity_closure(const CodeLayout& layout,
+                                      std::span<const Element> written) {
+  std::vector<int> dirty;
+  dirty_parity_closure(layout, written, dirty);
   return dirty;
 }
 

@@ -74,7 +74,11 @@ class IoPlanner {
 
 // The set of parity equations a write to `written` data elements must
 // refresh, in topological order (closure over parity-in-parity coverage).
-// Exposed for tests and the update-complexity bench.
+// The out-parameter form reuses the caller's storage (the array's RMW
+// path); the returning form serves tests and the update-complexity bench.
+void dirty_parity_closure(const codes::CodeLayout& layout,
+                          std::span<const codes::Element> written,
+                          std::vector<int>& dirty);
 std::vector<int> dirty_parity_closure(const codes::CodeLayout& layout,
                                       std::span<const codes::Element> written);
 

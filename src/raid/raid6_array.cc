@@ -6,9 +6,9 @@
 #include "raid/raid6_array.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -116,6 +116,14 @@ class OpGuard {
                                      // so slow-op notes land inside it
 };
 
+// Process-wide source of Raid6Array::id_.
+std::atomic<uint64_t> next_array_id{1};
+
+size_t cell(const CodeLayout& layout, const Element& e) {
+  return static_cast<size_t>(e.row) * static_cast<size_t>(layout.cols()) +
+         static_cast<size_t>(e.col);
+}
+
 size_t checked_disk_size(const CodeLayout& layout, size_t element_size,
                          int64_t stripes) {
   DCODE_CHECK(element_size > 0, "element size must be positive");
@@ -137,10 +145,58 @@ void Raid6Array::overlay_range(int64_t g, int64_t offset, int64_t len,
   *out_len = static_cast<size_t>(hi - lo);
 }
 
+uint8_t* Raid6Array::OpScratch::element(size_t i) {
+  DCODE_ASSERT(i < capacity, "op scratch holds at most one stripe of elements");
+  while (elements.size() <= i) elements.emplace_back(array->element_size_);
+  return elements[i].data();
+}
+
+Raid6Array::StripeScratch& Raid6Array::OpScratch::stripe() {
+  if (!stripe_scratch) {
+    stripe_scratch.emplace(*array->layout_, array->element_size_);
+  }
+  return *stripe_scratch;
+}
+
+Raid6Array::OpScratch& Raid6Array::OpScratchLease::thread_scratch() {
+  thread_local OpScratch scratch;
+  return scratch;
+}
+
+Raid6Array::OpScratchLease::OpScratchLease(const Raid6Array& array)
+    : x_(thread_scratch()) {
+  DCODE_ASSERT(!x_.busy, "op scratch is already leased on this thread");
+  if (x_.array_id != array.id_) {
+    const CodeLayout& layout = *array.layout_;
+    const size_t cells = static_cast<size_t>(layout.rows() * layout.cols());
+    // One stripe of element buffers. An RMW update needs n data + c
+    // parity-delta + c old-parity buffers, the old parity reusing the
+    // fully covered data elements' buffers, so only a code with more
+    // parity than data (tiny primes) needs two parity sets plus the two
+    // partial edges.
+    const size_t capacity = std::max(
+        cells, 2 * static_cast<size_t>(layout.parity_count()) + 2);
+    if (x_.elements.size() > capacity ||
+        (!x_.elements.empty() &&
+         x_.elements.front().size() != array.element_size_)) {
+      x_.elements.clear();
+      x_.elements.shrink_to_fit();
+    }
+    x_.elements.reserve(capacity);
+    x_.capacity = capacity;
+    x_.where.assign(cells, nullptr);
+    x_.stripe_scratch.reset();
+    x_.array_id = array.id_;
+  }
+  x_.array = &array;
+  x_.busy = true;
+}
+
 Raid6Array::Raid6Array(std::unique_ptr<CodeLayout> layout,
                        size_t element_size, int64_t stripes, unsigned threads,
                        obs::Registry* registry, ArrayOptions options)
-    : layout_(std::move(layout)),
+    : id_(next_array_id.fetch_add(1, std::memory_order_relaxed)),
+      layout_(std::move(layout)),
       element_size_(element_size),
       stripes_(stripes),
       map_(*layout_),
@@ -169,12 +225,10 @@ Raid6Array::Raid6Array(std::unique_ptr<CodeLayout> layout,
                   // engine only calls this from write paths, never
                   // during construction.
                   [this](int d, int64_t stripe, int row) {
-                    for (int c = 0; c < layout_->cols(); ++c) {
-                      if (map_.physical_disk(stripe, c) == d) {
-                        return layout_->is_parity(row, c) ? 1 : 0;
-                      }
-                    }
-                    return 0;
+                    return layout_->is_parity(row,
+                                              map_.logical_col(stripe, d))
+                               ? 1
+                               : 0;
                   },
               }),
       health_(layout_->cols(), options.health,
@@ -278,71 +332,92 @@ void Raid6Array::replace_disk(int disk) {
   health_.mark_rebuilding(disk);
 }
 
-void Raid6Array::write_stripe_rmw(int64_t stripe, int64_t g,
+void Raid6Array::write_stripe_rmw(OpScratch& x, int64_t stripe, int64_t g,
                                   int64_t stripe_end, int64_t offset,
                                   std::span<const uint8_t> data) {
   const CodeLayout& layout = *layout_;
-  const int64_t esize = static_cast<int64_t>(element_size_);
+  const size_t esize = element_size_;
   const size_t n = static_cast<size_t>(stripe_end - g + 1);
+  // Where element i's new bytes sit in the caller's buffer; a fully
+  // covered element (len == esize) is written straight from there.
+  auto cover = [&](size_t i, size_t* eb, size_t* sb, size_t* len) {
+    overlay_range(g + static_cast<int64_t>(i), offset,
+                  static_cast<int64_t>(data.size()),
+                  static_cast<int64_t>(esize), eb, sb, len);
+  };
 
-  // Phase 1: batch-read the old contents of every touched data element.
-  std::vector<AddressMap::Location> locs;
-  std::vector<AlignedBuffer> old_data;
-  std::vector<ReadOp> rops;
-  locs.reserve(n);
-  old_data.reserve(n);
-  rops.reserve(n);
-  for (int64_t e = g; e <= stripe_end; ++e) {
-    locs.push_back(map_.locate(e));
-    old_data.emplace_back(element_size_);
-    rops.push_back({locs.back().disk, stripe, locs.back().element.row,
-                    old_data.back().data()});
-  }
-  engine_.read_batch(rops);
-
-  // Phase 2 (computation only): overlay the user bytes and compute the
-  // per-element deltas, including the parity deltas of the dirty closure
-  // in topo order. No I/O happens here, so everything below works from
-  // values captured while the stripe was still consistent.
-  std::vector<Element> written;
-  std::map<Element, AlignedBuffer> delta;  // old ^ new per element
-  std::vector<AlignedBuffer> fresh;
-  std::vector<WriteOp> wops;
-  written.reserve(n);
-  fresh.reserve(n);
+  // Phase 1: batch-read the old contents of every touched data element
+  // into element buffers [0, n).
+  x.locs.clear();
+  x.written.clear();
+  x.rops.clear();
+  std::fill(x.where.begin(), x.where.end(), nullptr);
   for (size_t i = 0; i < n; ++i) {
-    const int64_t e = g + static_cast<int64_t>(i);
-    size_t eb, sb, len;
-    overlay_range(e, offset, static_cast<int64_t>(data.size()), esize, &eb,
-                  &sb, &len);
-    fresh.emplace_back(element_size_);
-    std::memcpy(fresh.back().data(), old_data[i].data(), element_size_);
-    std::memcpy(fresh.back().data() + eb, data.data() + sb, len);
-
-    AlignedBuffer dbuf(element_size_);
-    xorops::xor_assign(dbuf.data(), old_data[i].data(), fresh.back().data(),
-                       element_size_);
-    written.push_back(locs[i].element);
-    delta.emplace(locs[i].element, std::move(dbuf));
+    x.locs.push_back(map_.locate(g + static_cast<int64_t>(i)));
+    const AddressMap::Location& loc = x.locs.back();
+    x.written.push_back(loc.element);
+    x.where[cell(layout, loc.element)] = x.element(i);
+    x.rops.push_back({loc.disk, stripe, loc.element.row, x.element(i)});
   }
-  const std::vector<int> closure = dirty_parity_closure(layout, written);
-  std::vector<int> pdisks;
-  std::vector<AlignedBuffer> pdeltas;
-  pdisks.reserve(closure.size());
-  pdeltas.reserve(closure.size());
-  for (int qi : closure) {
-    const Equation& q = layout.equations()[static_cast<size_t>(qi)];
-    pdisks.push_back(map_.physical_disk(stripe, q.parity.col));
-    AlignedBuffer pdelta(element_size_);
+  engine_.read_batch(x.rops);
+
+  // Phase 2 (computation only): the delta of every parity in the dirty
+  // closure, in topo order, into element buffers [n, n + c). A source's
+  // delta is old ^ new: a fully covered data element folds its old bytes
+  // and the caller's, a partially covered one only its covered range
+  // (old == new elsewhere), a dirty parity its own delta. No I/O happens
+  // here, so everything below works from values captured while the
+  // stripe was still consistent.
+  dirty_parity_closure(layout, x.written, x.closure);
+  const size_t c = x.closure.size();
+  // A written data element's i.
+  auto index_of = [&](const Element& e) {
+    return static_cast<size_t>(stripe * layout.data_count() +
+                               layout.data_index(e.row, e.col) - g);
+  };
+  for (size_t k = 0; k < c; ++k) {
+    const Equation& q = layout.equations()[static_cast<size_t>(x.closure[k])];
+    uint8_t* pdelta = x.element(n + k);
+    x.srcs.clear();
+    bool partial = false;
     for (const Element& src : q.sources) {
-      auto it = delta.find(src);
-      if (it != delta.end()) {
-        xorops::xor_into(pdelta.data(), it->second.data(), element_size_);
+      const uint8_t* buf = x.where[cell(layout, src)];
+      if (buf == nullptr) continue;
+      if (layout.is_parity(src.row, src.col)) {
+        x.srcs.push_back(buf);
+        continue;
+      }
+      size_t eb, sb, len;
+      cover(index_of(src), &eb, &sb, &len);
+      if (len < esize) {
+        partial = true;
+        continue;
+      }
+      x.srcs.push_back(buf);
+      x.srcs.push_back(data.data() + sb);
+    }
+    if (x.srcs.empty()) {
+      std::memset(pdelta, 0, esize);
+    } else {
+      xorops::xor_many(pdelta, x.srcs, esize);
+    }
+    for (const Element& src : q.sources) {
+      if (!partial) break;
+      const uint8_t* buf = x.where[cell(layout, src)];
+      if (buf == nullptr || layout.is_parity(src.row, src.col)) continue;
+      size_t eb, sb, len;
+      cover(index_of(src), &eb, &sb, &len);
+      if (len < esize) {
+        xorops::xor2_into(pdelta + eb, buf + eb, data.data() + sb, len);
       }
     }
-    pdeltas.emplace_back(element_size_);
-    std::memcpy(pdeltas.back().data(), pdelta.data(), element_size_);
-    delta.emplace(q.parity, std::move(pdelta));
+    x.where[cell(layout, q.parity)] = pdelta;
+  }
+  // A partially covered element's new contents, built in its own buffer.
+  for (size_t i = 0; i < n; ++i) {
+    size_t eb, sb, len;
+    cover(i, &eb, &sb, &len);
+    if (len < esize) std::memcpy(x.element(i) + eb, data.data() + sb, len);
   }
 
   // Phase 3 (writes, with internal failover): once the first device write
@@ -353,52 +428,68 @@ void Raid6Array::write_stripe_rmw(int64_t stripe, int64_t g,
   // parity old^delta are idempotent), skipping disks that have died; the
   // rebuild later reconstructs their elements from the consistent
   // survivors. Only the pre-write phases above may throw to the caller.
-  std::vector<AlignedBuffer> parity;  // old parity, captured exactly once
-  std::vector<char> parity_live(closure.size(), 0);
+  auto parity_disk = [&](size_t k) {
+    return map_.physical_disk(
+        stripe,
+        layout.equations()[static_cast<size_t>(x.closure[k])].parity.col);
+  };
+  auto parity_row = [&](size_t k) {
+    return layout.equations()[static_cast<size_t>(x.closure[k])].parity.row;
+  };
   bool parity_read = false;
   for (int attempt = 0;; ++attempt) {
     try {
-      wops.clear();
+      x.wops.clear();
       for (size_t i = 0; i < n; ++i) {
-        if (disk_degraded_for_stripe(locs[i].disk, stripe)) continue;
-        wops.push_back(
-            {locs[i].disk, stripe, locs[i].element.row, fresh[i].data()});
+        const AddressMap::Location& loc = x.locs[i];
+        if (disk_degraded_for_stripe(loc.disk, stripe)) continue;
+        size_t eb, sb, len;
+        cover(i, &eb, &sb, &len);
+        x.wops.push_back({loc.disk, stripe, loc.element.row,
+                          len == esize ? data.data() + sb : x.element(i)});
       }
-      engine_.write_batch(wops);
+      engine_.write_batch(x.wops);
       if (!parity_read) {
         // Parity is still uniformly old (no parity write has happened in
         // any attempt), so reading it now is safe; after this point the
-        // captured values are authoritative and are never re-read.
-        parity.clear();
-        rops.clear();
-        for (size_t i = 0; i < closure.size(); ++i) {
-          const Equation& q =
-              layout.equations()[static_cast<size_t>(closure[i])];
-          parity.emplace_back(element_size_);
-          parity_live[i] = disk_degraded_for_stripe(pdisks[i], stripe) ? 0 : 1;
-          if (parity_live[i] != 0) {
-            rops.push_back(
-                {pdisks[i], stripe, q.parity.row, parity[i].data()});
-          }
+        // captured values are authoritative and are never re-read. Old
+        // parity lands in the buffers of fully covered data elements
+        // (written from the caller's buffer, so free now), then in fresh
+        // ones past the deltas; a parity on a degraded disk gets none.
+        x.pbufs.clear();
+        for (size_t i = 0; i < n && x.pbufs.size() < c; ++i) {
+          size_t eb, sb, len;
+          cover(i, &eb, &sb, &len);
+          if (len == esize) x.pbufs.push_back(x.element(i));
         }
-        engine_.read_batch(rops);
-        for (size_t i = 0; i < closure.size(); ++i) {
-          xorops::xor_into(parity[i].data(), pdeltas[i].data(),
-                           element_size_);
+        for (size_t extra = n + c; x.pbufs.size() < c; ++extra) {
+          x.pbufs.push_back(x.element(extra));
+        }
+        x.rops.clear();
+        for (size_t k = 0; k < c; ++k) {
+          if (disk_degraded_for_stripe(parity_disk(k), stripe)) {
+            x.pbufs[k] = nullptr;
+            continue;
+          }
+          x.rops.push_back({parity_disk(k), stripe, parity_row(k), x.pbufs[k]});
+        }
+        engine_.read_batch(x.rops);
+        for (size_t k = 0; k < c; ++k) {
+          if (x.pbufs[k] != nullptr) {
+            xorops::xor_into(x.pbufs[k], x.element(n + k), esize);
+          }
         }
         parity_read = true;
       }
-      wops.clear();
-      for (size_t i = 0; i < closure.size(); ++i) {
-        if (parity_live[i] == 0 ||
-            disk_degraded_for_stripe(pdisks[i], stripe)) {
+      x.wops.clear();
+      for (size_t k = 0; k < c; ++k) {
+        if (x.pbufs[k] == nullptr ||
+            disk_degraded_for_stripe(parity_disk(k), stripe)) {
           continue;
         }
-        const Equation& q =
-            layout.equations()[static_cast<size_t>(closure[i])];
-        wops.push_back({pdisks[i], stripe, q.parity.row, parity[i].data()});
+        x.wops.push_back({parity_disk(k), stripe, parity_row(k), x.pbufs[k]});
       }
-      engine_.write_batch(wops);
+      engine_.write_batch(x.wops);
       return;
     } catch (const ElementIntegrityError&) {
       // A condemned parity pre-read: replaying won't help (the platter
@@ -425,6 +516,8 @@ void Raid6Array::write(int64_t offset, std::span<const uint8_t> data) {
   const int64_t first = offset / esize;
   const int64_t last = (offset + static_cast<int64_t>(data.size()) - 1) / esize;
 
+  OpScratchLease lease(*this);
+  OpScratch& x = *lease;
   bool degraded = false;
   for (int d = 0; d < layout.cols(); ++d) degraded |= disk_degraded(d);
   OpGuard op(/*is_write=*/true, offset, static_cast<int64_t>(data.size()),
@@ -463,11 +556,13 @@ void Raid6Array::write(int64_t offset, std::span<const uint8_t> data) {
       }
       try {
         if (salvage) {
-          salvage_stripe_rewrite(stripe, g, stripe_end, offset, data);
+          salvage_stripe_rewrite(x.stripe(), stripe, g, stripe_end, offset,
+                                 data);
         } else if (stripe_degraded) {
-          write_stripe_degraded(stripe, g, stripe_end, offset, data);
+          write_stripe_degraded(x.stripe(), stripe, g, stripe_end, offset,
+                                data);
         } else {
-          write_stripe_rmw(stripe, g, stripe_end, offset, data);
+          write_stripe_rmw(x, stripe, g, stripe_end, offset, data);
         }
         break;
       } catch (const ElementIntegrityError&) {
@@ -482,7 +577,7 @@ void Raid6Array::write(int64_t offset, std::span<const uint8_t> data) {
         if (attempt >= kMaxFailoverAttempts) throw;
         metrics_.failovers->inc();
         if (attempt == 0 && !salvage) {
-          clean_stripe_integrity(stripe);
+          clean_stripe_integrity(stripe, x.stripe());
         } else {
           salvage = true;
         }
@@ -501,33 +596,32 @@ void Raid6Array::write(int64_t offset, std::span<const uint8_t> data) {
   }
 }
 
-void Raid6Array::read_healthy(int64_t first, int64_t last, int64_t offset,
-                              std::span<uint8_t> out) {
+void Raid6Array::read_healthy(OpScratch& x, int64_t first, int64_t last,
+                              int64_t offset, std::span<uint8_t> out) {
   const int64_t esize = static_cast<int64_t>(element_size_);
   const int64_t end = offset + static_cast<int64_t>(out.size());
   // Fully covered elements land straight in the caller's buffer; the (at
-  // most two) partially covered edge elements bounce through scratch.
-  AlignedBuffer head(element_size_), tail(element_size_);
-  std::vector<ReadOp> rops;
-  rops.reserve(static_cast<size_t>(last - first + 1));
+  // most two) partially covered edge elements bounce through element
+  // buffers 0 (first) and 1 (last).
+  auto full = [&](int64_t e) {
+    return e * esize >= offset && (e + 1) * esize <= end;
+  };
+  x.rops.clear();
   for (int64_t e = first; e <= last; ++e) {
     auto loc = map_.locate(e);
-    const bool full = e * esize >= offset && (e + 1) * esize <= end;
-    uint8_t* dst = full ? out.data() + (e * esize - offset)
-                        : (e == first ? head.data() : tail.data());
-    rops.push_back({loc.disk, loc.stripe, loc.element.row, dst});
+    uint8_t* dst = full(e) ? out.data() + (e * esize - offset)
+                           : x.element(e == first ? 0 : 1);
+    x.rops.push_back({loc.disk, loc.stripe, loc.element.row, dst});
   }
-  engine_.read_batch(rops);
+  engine_.read_batch(x.rops);
   auto copy_out = [&](int64_t e, const uint8_t* elem) {
     size_t eb, sb, len;
     overlay_range(e, offset, static_cast<int64_t>(out.size()), esize, &eb,
                   &sb, &len);
     std::memcpy(out.data() + sb, elem + eb, len);
   };
-  if (first * esize < offset) copy_out(first, head.data());
-  if ((last + 1) * esize > end) {
-    copy_out(last, last == first ? head.data() : tail.data());
-  }
+  if (!full(first)) copy_out(first, x.element(0));
+  if (last != first && !full(last)) copy_out(last, x.element(1));
 }
 
 void Raid6Array::read(int64_t offset, std::span<uint8_t> out) {
@@ -560,6 +654,7 @@ void Raid6Array::read(int64_t offset, std::span<uint8_t> out) {
     return failed;
   };
   std::vector<int> failed = collect_failed();
+  OpScratchLease lease(*this);
   OpGuard op(/*is_write=*/false, offset, static_cast<int64_t>(out.size()),
              !failed.empty(), metrics_, options_);
   (failed.empty() ? metrics_.reads : metrics_.degraded_reads)->inc();
@@ -573,9 +668,9 @@ void Raid6Array::read(int64_t offset, std::span<uint8_t> out) {
   for (int attempt = 0;; ++attempt) {
     try {
       if (failed.empty()) {
-        read_healthy(first, last, offset, out);
+        read_healthy(*lease, first, last, offset, out);
       } else {
-        read_degraded(first, last, offset, out, failed);
+        read_degraded(*lease, first, last, offset, out, failed);
       }
       return;
     } catch (const ElementIntegrityError& e) {

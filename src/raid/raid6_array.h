@@ -4,8 +4,9 @@
 // examples and the read-speed experiments run on. Since the monolith
 // split, the array is pure policy over two lower layers:
 //
-//   Raid6Array            — RMW/RCW choice, degraded paths, journal,
-//                           spares, rebuild orchestration (this class)
+//   Raid6Array            — read-modify-write updates, degraded paths,
+//                           journal, spares, rebuild orchestration (this
+//                           class)
 //   StripeIoEngine        — batched element I/O: coalescing into ranged
 //                           vectored transfers, per-disk parallelism,
 //                           transient-error retries, element accounting
@@ -17,10 +18,12 @@
 // (element granularity inside; byte granularity at the public API).
 //
 // Behaviour:
-//  * write — healthy mode uses the planner's RMW/RCW choice, applying
-//    parity deltas with the XOR kernels; if any disk is failed, the
-//    affected stripes are reconstructed in memory, modified, re-encoded
-//    and written back to the surviving disks (stripe-rewrite policy).
+//  * write — a healthy stripe is always updated read-modify-write (old
+//    data and old parity are read, parity deltas applied with the XOR
+//    kernels; the planner's RMW/RCW choice is a model for the simulator,
+//    not consulted here); if any disk is failed, the affected stripes are
+//    reconstructed in memory, modified, re-encoded and written back to the
+//    surviving disks (stripe-rewrite policy).
 //  * read — healthy elements stream straight from the disks; lost ones are
 //    rebuilt through the degraded-read planner's equation choices.
 //  * fail_disk / replace_disk / rebuild — fault injection and repair.
@@ -45,6 +48,7 @@
 #include <array>
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -62,6 +66,7 @@
 #include "raid/recovery.h"
 #include "raid/stripe_io_engine.h"
 #include "raid/stripe_lock_table.h"
+#include "util/aligned_buffer.h"
 #include "util/thread_pool.h"
 #include "util/token_bucket.h"
 
@@ -412,6 +417,60 @@ class Raid6Array : private WriteGate {
   [[noreturn]] void throw_unrecovered(int64_t stripe,
                                       const StripeScratch& x) const;
 
+  // The executing thread's reusable state for one array op, so a healthy
+  // read, an RMW write and a degraded op or journal replay make no heap
+  // allocation once the thread is warm: element buffers handed out by
+  // index (never zero-filled again after their first allocation), batch
+  // vectors cleared but never freed, and one StripeScratch. There is one
+  // per thread, rebound (and its StripeScratch rebuilt) when the thread
+  // moves to another array, and it is bounded at one stripe of element
+  // buffers (see element()) plus the StripeScratch. It is only reached
+  // through an OpScratchLease, which asserts against reentrant use.
+  struct OpScratch {
+    // Element buffer `i` (element_size bytes).
+    uint8_t* element(size_t i);
+    // The StripeScratch, built on first use after a rebind.
+    StripeScratch& stripe();
+
+    // Per-op vectors, cleared by their users. `where` maps row * cols +
+    // col to the buffer holding that element (RMW, degraded read); the
+    // RMW keeps its written locations and elements, the dirty closure and
+    // each dirty parity's buffer (pbufs).
+    std::vector<AddressMap::Location> locs;
+    std::vector<codes::Element> written;
+    std::vector<int> closure;
+    std::vector<uint8_t*> where;
+    std::vector<uint8_t*> pbufs;
+    std::vector<const uint8_t*> srcs;
+    std::vector<StripeIoEngine::ReadOp> rops;
+    std::vector<StripeIoEngine::WriteOp> wops;
+
+    // Binding, set by OpScratchLease: the array served, the element
+    // buffers allowed for its layout, and whether a lease holds it.
+    const Raid6Array* array = nullptr;
+    uint64_t array_id = 0;
+    size_t capacity = 0;
+    std::vector<AlignedBuffer> elements;
+    std::optional<StripeScratch> stripe_scratch;
+    bool busy = false;
+  };
+  // Holds the calling thread's OpScratch, bound to this array, for the
+  // lease's lifetime.
+  class OpScratchLease {
+   public:
+    explicit OpScratchLease(const Raid6Array& array);
+    ~OpScratchLease() { x_.busy = false; }
+    OpScratchLease(const OpScratchLease&) = delete;
+    OpScratchLease& operator=(const OpScratchLease&) = delete;
+    OpScratch& operator*() const { return x_; }
+    OpScratch* operator->() const { return &x_; }
+
+   private:
+    static OpScratch& thread_scratch();
+
+    OpScratch& x_;
+  };
+
   // Both rebuild drivers run this under the stripe's lock (rebuild.cc):
   // reconstruct_stripe(kMinimal), then write the lost columns and any
   // repaired survivor to every live device. Returns false when the
@@ -426,7 +485,7 @@ class Raid6Array : private WriteGate {
   // write. Called under the stripe lock when an RMW pre-read fails
   // verification (folding a bad old value into a parity delta would
   // corrupt parity).
-  void clean_stripe_integrity(int64_t stripe);
+  void clean_stripe_integrity(int64_t stripe, StripeScratch& x);
   // Last-resort write path when clean_stripe_integrity cannot converge
   // (e.g. a misdirected data write detected at the RMW parity pre-read:
   // the victim column is condemned while every parity that could
@@ -434,19 +493,27 @@ class Raid6Array : private WriteGate {
   // it in place). Reconstructs the salvageable old state, overlays the
   // caller's data, re-encodes parity from scratch and rewrites the
   // stripe so every sidecar record is refreshed. Defined in scrub.cc.
-  void salvage_stripe_rewrite(int64_t stripe, int64_t g, int64_t stripe_end,
-                              int64_t offset, std::span<const uint8_t> data);
-  // Healthy-path RMW for the elements [g, stripe_end] of one stripe.
-  void write_stripe_rmw(int64_t stripe, int64_t g, int64_t stripe_end,
-                        int64_t offset, std::span<const uint8_t> data);
+  void salvage_stripe_rewrite(StripeScratch& x, int64_t stripe, int64_t g,
+                              int64_t stripe_end, int64_t offset,
+                              std::span<const uint8_t> data);
+  // Healthy-path read-modify-write for the elements [g, stripe_end] of
+  // one stripe.
+  void write_stripe_rmw(OpScratch& x, int64_t stripe, int64_t g,
+                        int64_t stripe_end, int64_t offset,
+                        std::span<const uint8_t> data);
   // Degraded-path stripe rewrite for the same element range.
-  void write_stripe_degraded(int64_t stripe, int64_t g, int64_t stripe_end,
-                             int64_t offset, std::span<const uint8_t> data);
-  void read_healthy(int64_t first, int64_t last, int64_t offset,
-                    std::span<uint8_t> out);
-  void read_degraded(int64_t first, int64_t last, int64_t offset,
-                     std::span<uint8_t> out, const std::vector<int>& failed);
+  void write_stripe_degraded(StripeScratch& x, int64_t stripe, int64_t g,
+                             int64_t stripe_end, int64_t offset,
+                             std::span<const uint8_t> data);
+  void read_healthy(OpScratch& x, int64_t first, int64_t last,
+                    int64_t offset, std::span<uint8_t> out);
+  void read_degraded(OpScratch& x, int64_t first, int64_t last,
+                     int64_t offset, std::span<uint8_t> out,
+                     const std::vector<int>& failed);
 
+  // Process-unique: tells a thread's OpScratch which array it is bound to
+  // (an address could be reused by a later array).
+  const uint64_t id_;
   std::unique_ptr<codes::CodeLayout> layout_;
   size_t element_size_;
   int64_t stripes_;

@@ -343,12 +343,11 @@ ScrubReport Raid6Array::scrub_report(ScrubOptions options) {
   return report;
 }
 
-void Raid6Array::clean_stripe_integrity(int64_t stripe) {
+void Raid6Array::clean_stripe_integrity(int64_t stripe, StripeScratch& x) {
   if (!engine_.integrity_enabled()) return;
   const CodeLayout& layout = *layout_;
   obs::Span span(obs::TraceLog::global(), "integrity.clean_stripe",
                  {{"stripe", stripe}});
-  StripeScratch x(layout, element_size_);
   reconstruct_stripe(stripe, x, StripeRead::kClassified, /*want_lost=*/false);
   std::vector<Element> repaired;
   for (const Suspect& sus : x.suspects) {
@@ -390,8 +389,9 @@ void Raid6Array::clean_stripe_integrity(int64_t stripe) {
              {"repaired", static_cast<int64_t>(repaired.size())}});
 }
 
-void Raid6Array::salvage_stripe_rewrite(int64_t stripe, int64_t g,
-                                        int64_t stripe_end, int64_t offset,
+void Raid6Array::salvage_stripe_rewrite(StripeScratch& x, int64_t stripe,
+                                        int64_t g, int64_t stripe_end,
+                                        int64_t offset,
                                         std::span<const uint8_t> data) {
   // Why clean_stripe_integrity alone is not enough: a misdirected data
   // write caught at the RMW parity pre-read leaves the stripe with new
@@ -409,7 +409,6 @@ void Raid6Array::salvage_stripe_rewrite(int64_t stripe, int64_t g,
   // Condemned elements whose pre-update payload is still derivable come
   // back re-verified against the sidecar, so mid-update parity cannot
   // fake a salvage; the lost columns are decoded through them.
-  StripeScratch x(layout, element_size_);
   const bool decoded =
       reconstruct_stripe(stripe, x, StripeRead::kClassified);
   // Parity is recomputed from the data below, so condemned parity needs

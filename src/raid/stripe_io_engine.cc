@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <thread>
 
 #include "obs/flight_recorder.h"
@@ -113,9 +112,9 @@ void StripeIoEngine::backoff_sleep(int disk, int attempt) const {
   std::this_thread::sleep_for(std::chrono::nanoseconds(delay));
 }
 
-IoResult StripeIoEngine::with_retries(
-    FaultInjectingDevice& dev, uint64_t op_id,
-    const std::function<IoResult()>& io) const {
+template <typename Io>
+IoResult StripeIoEngine::with_retries(FaultInjectingDevice& dev,
+                                      uint64_t op_id, const Io& io) const {
   const int d = dev.id();
   const int64_t t0 = now_ns();
   IoResult r = io();
@@ -259,12 +258,13 @@ void StripeIoEngine::run_read(int d, std::span<const ReadOp> ops,
                                {ops[idx[i]].dst, element_size_});
       });
     } else {
-      std::vector<IoVec> iov(run);
+      IoVec iov[kMaxRunElements];
       for (size_t k = 0; k < run; ++k) {
         iov[k] = IoVec{ops[idx[i + k]].dst, element_size_};
       }
-      r = with_retries(h.faults(), op_id,
-                       [&] { return h.faults().readv(base, iov); });
+      r = with_retries(h.faults(), op_id, [&] {
+        return h.faults().readv(base, std::span<const IoVec>(iov, run));
+      });
     }
     if (!r.ok() || h.faults().generation() != gen) throw DiskFailedError(d);
     h.account_reads(static_cast<int64_t>(run),
@@ -309,12 +309,13 @@ void StripeIoEngine::run_write(int d, std::span<const WriteOp> ops,
         return h.faults().write(base, {ops[idx[i]].src, element_size_});
       });
     } else {
-      std::vector<ConstIoVec> iov(run);
+      ConstIoVec iov[kMaxRunElements];
       for (size_t k = 0; k < run; ++k) {
         iov[k] = ConstIoVec{ops[idx[i + k]].src, element_size_};
       }
-      r = with_retries(h.faults(), op_id,
-                       [&] { return h.faults().writev(base, iov); });
+      r = with_retries(h.faults(), op_id, [&] {
+        return h.faults().writev(base, std::span<const ConstIoVec>(iov, run));
+      });
     }
     if (!r.ok()) throw DiskFailedError(d);
     h.account_writes(static_cast<int64_t>(run),
@@ -344,6 +345,52 @@ void StripeIoEngine::run_write(int d, std::span<const WriteOp> ops,
   }
 }
 
+template <typename Op, typename Run>
+void StripeIoEngine::for_each_disk(std::span<const Op> ops, const Run& run) {
+  // The calling thread's grouping storage, reused across batches: ops
+  // ordered by (disk, device offset) so adjacency is visible to the
+  // coalescer, and where each disk's group starts.
+  struct Groups {
+    std::vector<size_t> order;
+    std::vector<size_t> starts;
+    bool busy = false;
+  };
+  thread_local Groups tls;
+  Groups& g = tls;
+  DCODE_ASSERT(!g.busy, "engine batches do not nest on one thread");
+  g.busy = true;
+  struct Release {
+    Groups& g;
+    ~Release() { g.busy = false; }
+  } release{g};
+  g.order.resize(ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) g.order[i] = i;
+  std::sort(g.order.begin(), g.order.end(), [&](size_t a, size_t b) {
+    if (ops[a].disk != ops[b].disk) return ops[a].disk < ops[b].disk;
+    return element_offset(ops[a].stripe, ops[a].row) <
+           element_offset(ops[b].stripe, ops[b].row);
+  });
+  g.starts.clear();
+  for (size_t i = 0; i < g.order.size(); ++i) {
+    if (i == 0 || ops[g.order[i]].disk != ops[g.order[i - 1]].disk) {
+      g.starts.push_back(i);
+    }
+  }
+  g.starts.push_back(g.order.size());
+  const size_t groups = g.starts.size() - 1;
+  // Pool workers see this thread's groups through the pointer; two
+  // captured words keep the std::function storage inline.
+  auto run_group = [gp = &g, &run](size_t k) {
+    run(std::span<const size_t>(gp->order)
+            .subspan(gp->starts[k], gp->starts[k + 1] - gp->starts[k]));
+  };
+  if (options_.parallel && groups > 1) {
+    pool_->parallel_for(groups, run_group);
+  } else {
+    for (size_t k = 0; k < groups; ++k) run_group(k);
+  }
+}
+
 void StripeIoEngine::read_batch(std::span<const ReadOp> ops, bool verify) {
   if (ops.empty()) return;
   // Capture the dispatching op's identity before fanning out: batch
@@ -361,32 +408,9 @@ void StripeIoEngine::read_batch(std::span<const ReadOp> ops, bool verify) {
     run_read(op.disk, ops, {&one, 1}, span.id(), op_id, verify);
     return;
   }
-  // Group by disk, order each group by device offset so adjacency is
-  // visible to the coalescer.
-  std::vector<std::vector<size_t>> by_disk(disks_.size());
-  for (size_t i = 0; i < ops.size(); ++i) {
-    by_disk[static_cast<size_t>(ops[i].disk)].push_back(i);
-  }
-  std::vector<int> active;
-  for (int d = 0; d < disk_count(); ++d) {
-    auto& g = by_disk[static_cast<size_t>(d)];
-    if (g.empty()) continue;
-    std::sort(g.begin(), g.end(), [&](size_t a, size_t b) {
-      return element_offset(ops[a].stripe, ops[a].row) <
-             element_offset(ops[b].stripe, ops[b].row);
-    });
-    active.push_back(d);
-  }
-  auto run_group = [&](size_t i) {
-    int d = active[i];
-    run_read(d, ops, by_disk[static_cast<size_t>(d)], span.id(), op_id,
-             verify);
-  };
-  if (options_.parallel && active.size() > 1) {
-    pool_->parallel_for(active.size(), run_group);
-  } else {
-    for (size_t i = 0; i < active.size(); ++i) run_group(i);
-  }
+  for_each_disk(ops, [&](std::span<const size_t> idx) {
+    run_read(ops[idx.front()].disk, ops, idx, span.id(), op_id, verify);
+  });
 }
 
 void StripeIoEngine::write_batch(std::span<const WriteOp> ops) {
@@ -412,29 +436,9 @@ void StripeIoEngine::write_batch(std::span<const WriteOp> ops) {
     run_write(ops.front().disk, ops, {&one, 1}, span.id(), op_id);
     return;
   }
-  std::vector<std::vector<size_t>> by_disk(disks_.size());
-  for (size_t i = 0; i < ops.size(); ++i) {
-    by_disk[static_cast<size_t>(ops[i].disk)].push_back(i);
-  }
-  std::vector<int> active;
-  for (int d = 0; d < disk_count(); ++d) {
-    auto& g = by_disk[static_cast<size_t>(d)];
-    if (g.empty()) continue;
-    std::sort(g.begin(), g.end(), [&](size_t a, size_t b) {
-      return element_offset(ops[a].stripe, ops[a].row) <
-             element_offset(ops[b].stripe, ops[b].row);
-    });
-    active.push_back(d);
-  }
-  auto run_group = [&](size_t i) {
-    int d = active[i];
-    run_write(d, ops, by_disk[static_cast<size_t>(d)], span.id(), op_id);
-  };
-  if (options_.parallel && active.size() > 1) {
-    pool_->parallel_for(active.size(), run_group);
-  } else {
-    for (size_t i = 0; i < active.size(); ++i) run_group(i);
-  }
+  for_each_disk(ops, [&](std::span<const size_t> idx) {
+    run_write(ops[idx.front()].disk, ops, idx, span.id(), op_id);
+  });
 }
 
 void StripeIoEngine::read_element(int d, int64_t stripe, int row,

@@ -305,8 +305,15 @@ class StripeIoEngine {
   void run_write(int d, std::span<const WriteOp> ops,
                  std::span<const size_t> idx, uint64_t trace_span,
                  uint64_t op_id);
+  // Runs io() (a callable returning IoResult) until it stops returning
+  // kTransient or the retry budget runs out.
+  template <typename Io>
   IoResult with_retries(FaultInjectingDevice& dev, uint64_t op_id,
-                        const std::function<IoResult()>& io) const;
+                        const Io& io) const;
+  // Groups a batch's ops by disk, each group ordered by device offset, and
+  // calls run(indices into ops) per group — across the pool when parallel.
+  template <typename Op, typename Run>
+  void for_each_disk(std::span<const Op> ops, const Run& run);
   void backoff_sleep(int disk, int attempt) const;
 
   size_t disk_size_;

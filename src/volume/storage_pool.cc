@@ -195,9 +195,24 @@ void StoragePool::run_op(bool is_write, int64_t offset,
       std::min<size_t>(slot_count, static_cast<size_t>(kWindowSlots));
   uint64_t shard_mask = 0;
   std::exception_ptr error;
-  std::vector<size_t> slots;
-  std::vector<std::unique_lock<std::mutex>> locks;
-  std::vector<raid::OpFuture> futures;
+  // The calling thread's per-op vectors, reused across ops; emptied on
+  // every exit so no chunk lock or future outlives the op.
+  struct OpVectors {
+    std::vector<size_t> slots;
+    std::vector<std::unique_lock<std::mutex>> locks;
+    std::vector<raid::OpFuture> futures;
+  };
+  thread_local OpVectors tls;
+  struct Clear {
+    OpVectors& v;
+    ~Clear() {
+      v.futures.clear();
+      v.locks.clear();
+    }
+  } clear{tls};
+  std::vector<size_t>& slots = tls.slots;
+  std::vector<std::unique_lock<std::mutex>>& locks = tls.locks;
+  std::vector<raid::OpFuture>& futures = tls.futures;
   for (int64_t w = first_chunk; w <= last_chunk && !error;
        w += static_cast<int64_t>(window)) {
     const int64_t w_last =

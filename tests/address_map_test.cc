@@ -83,5 +83,26 @@ TEST(AddressMap, NegativeAddressRejected) {
   EXPECT_THROW((void)map.locate(-1), std::logic_error);
 }
 
+TEST(AddressMap, LogicalColInvertsPhysicalDisk) {
+  for (const char* name : {"dcode", "rdp"}) {
+    auto layout = codes::make_layout(name, 7);
+    const int cols = layout->cols();
+    for (bool rotate : {false, true}) {
+      AddressMap map(*layout, rotate);
+      // Every (stripe mod cols, disk) pair, at two stripe offsets.
+      for (int64_t s = 0; s < 2 * cols; ++s) {
+        for (int d = 0; d < cols; ++d) {
+          const int c = map.logical_col(s, d);
+          ASSERT_GE(c, 0);
+          ASSERT_LT(c, cols);
+          EXPECT_EQ(map.physical_disk(s, c), d)
+              << name << " rotate " << rotate << " stripe " << s;
+          EXPECT_EQ(map.logical_col(s, map.physical_disk(s, d)), d);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dcode::raid
