@@ -110,6 +110,40 @@ void Raid6Array::read_degraded(OpScratch& x, int64_t first, int64_t last,
   for (int64_t stripe = first / dps; stripe <= last / dps; ++stripe) {
     const int64_t lo = std::max(first, stripe * dps);
     const int64_t hi = std::min(last, (stripe + 1) * dps - 1);
+    size_t a_end = a;
+    while (a_end < plan.accesses.size() &&
+           plan.accesses[a_end].stripe == stripe) {
+      ++a_end;
+    }
+    size_t r_end = r;
+    bool full_decode = false;
+    for (; r_end < plan.reconstructions.size() &&
+           plan.reconstructions[r_end].stripe == stripe;
+         ++r_end) {
+      full_decode = full_decode || plan.reconstructions[r_end].equation < 0;
+    }
+    if (full_decode) {
+      // Unpeelable loss (EVENODD / liberation coupling): the plan reads
+      // every survivor, which is exactly what one full-stripe decode
+      // reads, so the stripe is decoded once and every requested element
+      // served from it. The read path never writes back: scrub owns
+      // durable repair.
+      span.note("full_stripe_decode", {{"stripe", stripe}});
+      StripeScratch& s = x.stripe();
+      if (!reconstruct_stripe(stripe, s, StripeRead::kVerified)) {
+        throw_unrecovered(stripe, s);
+      }
+      for (int64_t e = lo; e <= hi; ++e) {
+        size_t eb, sb, len;
+        overlay_range(e, offset, static_cast<int64_t>(out.size()), esize, &eb,
+                      &sb, &len);
+        std::memcpy(out.data() + sb, s.buf.at(map_.locate(e).element) + eb,
+                    len);
+      }
+      a = a_end;
+      r = r_end;
+      continue;
+    }
     std::fill(x.where.begin(), x.where.end(), nullptr);
     auto where = [&](const Element& e) -> uint8_t*& {
       return x.where[static_cast<size_t>(e.row * layout.cols() + e.col)];
@@ -130,8 +164,7 @@ void Raid6Array::read_degraded(OpScratch& x, int64_t first, int64_t last,
     };
 
     x.rops.clear();
-    for (; a < plan.accesses.size() && plan.accesses[a].stripe == stripe;
-         ++a) {
+    for (; a < a_end; ++a) {
       const IoAccess& acc = plan.accesses[a];
       DCODE_ASSERT(!acc.is_write, "degraded read plan must not write");
       // Duplicate plan reads share a buffer but still count.
@@ -140,36 +173,21 @@ void Raid6Array::read_degraded(OpScratch& x, int64_t first, int64_t last,
     }
     engine_.read_batch(x.rops);
 
-    for (; r < plan.reconstructions.size() &&
-           plan.reconstructions[r].stripe == stripe;
-         ++r) {
+    for (; r < r_end; ++r) {
       const Reconstruction& rec = plan.reconstructions[r];
-      uint8_t* dst = buffer_of(rec.target);
-      if (rec.equation >= 0) {
-        const Equation& q =
-            layout.equations()[static_cast<size_t>(rec.equation)];
-        x.srcs.clear();
-        auto fold = [&](const Element& m) {
-          if (m == rec.target) return;
-          DCODE_CHECK(where(m) != nullptr,
-                      "planner promised this member was read");
-          x.srcs.push_back(where(m));
-        };
-        fold(q.parity);
-        for (const Element& m : q.sources) fold(m);
-        xorops::xor_many(dst, x.srcs, element_size_);
-        ++eq_recs;
-      } else {
-        // Full-stripe chained decode fallback (two failed disks crossing
-        // every equation of the target).
-        // The read path never writes back: scrub owns durable repair.
-        span.note("full_stripe_decode", {{"stripe", rec.stripe}});
-        StripeScratch& s = x.stripe();
-        if (!reconstruct_stripe(rec.stripe, s, StripeRead::kVerified)) {
-          throw_unrecovered(rec.stripe, s);
-        }
-        std::memcpy(dst, s.buf.at(rec.target), element_size_);
-      }
+      const Equation& q =
+          layout.equations()[static_cast<size_t>(rec.equation)];
+      x.srcs.clear();
+      auto fold = [&](const Element& m) {
+        if (m == rec.target) return;
+        DCODE_CHECK(where(m) != nullptr,
+                    "planner promised this member was read");
+        x.srcs.push_back(where(m));
+      };
+      fold(q.parity);
+      for (const Element& m : q.sources) fold(m);
+      xorops::xor_many(buffer_of(rec.target), x.srcs, element_size_);
+      ++eq_recs;
     }
 
     for (int64_t e = lo; e <= hi; ++e) {

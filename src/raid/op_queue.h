@@ -1,23 +1,16 @@
-// Bounded admission queue for the request pipeline, with write merging.
+// Bounded admission queue for the request pipeline.
 //
 // Submitters push PendingOps (sequence numbers are assigned under the
 // queue mutex, so queue order == sequence order == arrival order);
-// pipeline workers pop OpBatches. A pop takes the head op and, when it
-// is a write and merging is on, absorbs the *consecutive run* of queued
-// writes whose byte ranges overlap or adjoin the accumulated union —
-// stopping at the first non-mergeable op, so nothing is ever reordered
-// past anything it could conflict with. The union stays contiguous by
-// induction (each absorbed op touches it), which is what lets D-Code's
-// consecutive-elements-share-one-horizontal-parity property turn k
-// queued partial writes into one read-modify-write update.
+// pipeline workers pop them one at a time, in that order.
 //
 // Backpressure: push() blocks while the queue is at depth. close()
 // wakes everyone; pops drain the remainder and then return false.
 //
-// The ticket-registration callback passed to pop_merged() runs under
-// the queue mutex, making the FIFO pop atomic with admission-order
-// ticket registration (see StripeRangeLock's protocol). Lock order is
-// queue mutex -> range-lock mutex, nothing else.
+// The ticket-registration callback passed to pop() runs under the queue
+// mutex, making the FIFO pop atomic with admission-order ticket
+// registration (see StripeRangeLock's protocol). Lock order is queue
+// mutex -> range-lock mutex, nothing else.
 #pragma once
 
 #include <condition_variable>
@@ -78,54 +71,30 @@ struct PendingOp {
   uint8_t* read_dst = nullptr;  // read destination (caller-owned)
   int64_t first_stripe = 0;     // stripe range covered by [offset, len)
   int64_t last_stripe = 0;
-  uint64_t seq = 0;  // assigned by OpQueue::push
+  uint64_t seq = 0;  // assigned by OpQueue::push; the op's ticket id
   std::shared_ptr<OpState> state;
-};
-
-// What a worker executes: one read, or one-or-more merged writes whose
-// byte ranges union to the contiguous [offset, end). Sources are in
-// admission order; on overlap the later source wins (applied last when
-// the merged buffer is assembled).
-struct OpBatch {
-  std::vector<PendingOp> sources;
-  bool is_write = false;
-  int64_t offset = 0;  // union begin
-  int64_t end = 0;     // union end (exclusive)
-  int64_t first_stripe = 0;
-  int64_t last_stripe = 0;
-  uint64_t seq = 0;  // the head source's seq — the batch's ticket id
 };
 
 class OpQueue {
  public:
-  struct Options {
-    size_t depth = 256;       // backpressure threshold for push()
-    bool merge_writes = true;
-    size_t merge_limit = 16;  // max sources per merged batch
-  };
-
-  // `depth_gauge` (optional) tracks the live queue length;
-  // `merge_width` (optional) gets one observation per write batch
-  // (its source count — width 1 means nothing merged).
-  OpQueue(Options options, obs::Gauge* depth_gauge = nullptr,
-          obs::Histogram* merge_width = nullptr)
-      : options_(options),
-        depth_gauge_(depth_gauge),
-        merge_width_(merge_width) {}
+  // `depth` is push()'s backpressure threshold; `depth_gauge` (optional)
+  // tracks the live queue length.
+  explicit OpQueue(size_t depth, obs::Gauge* depth_gauge = nullptr)
+      : depth_(depth), depth_gauge_(depth_gauge) {}
 
   // Assigns the op's sequence number and enqueues it, blocking while the
   // queue is full. Returns false (op not queued) iff the queue is closed.
   bool push(PendingOp op);
 
-  // Called under the queue mutex, once per popped batch, before the pop
-  // is visible to anyone: (seq, first_stripe, last_stripe, is_write).
+  // Called under the queue mutex, once per popped op, before the pop is
+  // visible to anyone: (seq, first_stripe, last_stripe, is_write).
   using RegisterFn =
       std::function<void(uint64_t, int64_t, int64_t, bool)>;
 
-  // Pops the next batch (merging queued writes into it, see above) and
-  // registers its admission ticket via `reg`. Blocks while the queue is
-  // empty; returns false once it is closed *and* drained.
-  bool pop_merged(OpBatch* out, const RegisterFn& reg);
+  // Pops the oldest op and registers its admission ticket via `reg`.
+  // Blocks while the queue is empty; returns false once it is closed
+  // *and* drained.
+  bool pop(PendingOp* out, const RegisterFn& reg);
 
   // Wakes all waiters; subsequent pushes fail, pops drain then stop.
   void close();
@@ -136,9 +105,8 @@ class OpQueue {
   }
 
  private:
-  Options options_;
+  size_t depth_;
   obs::Gauge* depth_gauge_;
-  obs::Histogram* merge_width_;
 
   mutable std::mutex mu_;
   std::condition_variable not_full_;

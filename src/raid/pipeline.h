@@ -8,7 +8,7 @@
 //   submit_read / submit_write            (any thread, returns OpFuture)
 //        │  bounded OpQueue — backpressure, arrival-order seq numbers
 //        ▼
-//   pop + write-merge                     (worker, atomic with…)
+//   pop                                   (worker, atomic with…)
 //        ▼
 //   StripeRangeLock admission ticket      (…registration, in pop order)
 //        ▼
@@ -18,24 +18,23 @@
 //
 // Ordering contract: ops whose stripe ranges overlap (with at least one
 // writer) execute in exactly admission order; everything else runs
-// concurrently. Merged writes are applied in admission order inside the
-// batch (later source wins on byte overlap), so the array contents after
-// any run equal a serial array that applied the same ops in admission
-// order — tests/pipeline_test.cc proves this bit-for-bit.
+// concurrently. So the array contents after any run equal a serial array
+// that applied the same ops in admission order — tests/pipeline_test.cc
+// proves this bit-for-bit. Every submitted op runs as its own array op
+// under its own admission ticket.
 //
 // Observability: each submitted op carries its own op id and enqueue
 // timestamp; the worker binds an OpContext before calling the array, so
 // the existing OpGuard adopts it — the causal span tree, flight
 // recorder, and coordinated-omission-free latency accounting all hold
-// per pipelined op (a merged batch executes under its head op's
-// identity). Queue depth, admission wait, and merge width are exported
-// as pipeline.* metrics in the array's registry.
+// per pipelined op. Queue depth and admission wait are exported as
+// pipeline.* metrics in the array's registry.
 //
-// Fault interplay: workers call the array's public ops, so the PR 5
-// machinery — mid-op failover replay, rebuild watermark, device
+// Fault interplay: workers call the array's public ops, so the array's
+// fault machinery — mid-op failover replay, rebuild watermark, device
 // generation checks, journal bracketing, power-loss gate — covers
 // in-flight pipelined ops unchanged. A failed op surfaces its exception
-// (DiskFailedError, PowerLossError, …) on every future of its batch.
+// (DiskFailedError, PowerLossError, …) on its future.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +52,6 @@ namespace dcode::raid {
 struct PipelineOptions {
   int workers = 4;          // executor threads
   size_t queue_depth = 256; // push() backpressure threshold
-  bool merge_writes = true;
-  size_t merge_limit = 16;  // max writes coalesced into one batch
 };
 
 // Completion handle for one submitted op. Copyable; all copies observe
@@ -118,16 +115,13 @@ class StripePipeline {
   struct Metrics {
     obs::Gauge* queue_depth;
     obs::Histogram* admission_wait_ns;
-    obs::Histogram* merge_width;
     obs::Counter* ops_submitted;
     obs::Counter* ops_completed;
-    obs::Counter* writes_merged;
-    obs::Counter* batches;
   };
 
   static Metrics resolve_metrics(Raid6Array& array);
   void worker_loop();
-  void execute(OpBatch& batch);
+  void execute(PendingOp& op);
   OpFuture submit(PendingOp op);
   // Stripe range covered by the byte range [offset, offset+len).
   void stripe_range(int64_t offset, int64_t len, int64_t* first,

@@ -6,12 +6,12 @@
 //
 //   chunk c  ->  shard c % N,  byte offset (c / N) * chunk_bytes
 //
-// Each shard is a full PR 1-7 stack — its own Raid6Array (spares,
+// Each shard is a full array stack — its own Raid6Array (spares,
 // health monitor, background rebuild, journal) fronted by its own
-// StripePipeline (worker threads, admission range-lock, write merging)
-// — so one shard rebuilding or even crashed never blocks I/O routed to
-// the others. Every shard registers its metrics under a namespaced
-// view of the pool's registry (`shard0.raid.reads`, `shard1.pipeline.
+// StripePipeline (worker threads, admission range-lock) — so one shard
+// rebuilding or even crashed never blocks I/O routed to the others.
+// Every shard registers its metrics under a namespaced view of the
+// pool's registry (`shard0.raid.reads`, `shard1.pipeline.
 // queue_depth`, ...) and the pool adds pool.* aggregates on top.
 //
 // Online capacity add (`add_shard`) attaches shard N and restripes in

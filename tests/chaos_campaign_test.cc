@@ -293,9 +293,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChaosCampaign,
 // --- the pipelined campaign ------------------------------------------------
 // Same invariants as the synchronous campaign, but the workload now
 // flows through a shared StripePipeline: two submitters race pipelined
-// reads/writes (merging on, several workers) over exclusive
-// stripe-aligned regions while fail-stop / double-fail-stop / power-loss
-// faults strike mid-flight. Proves the journal, the failover replay
+// reads/writes (several workers) over exclusive stripe-aligned regions
+// while fail-stop / double-fail-stop / power-loss faults strike
+// mid-flight. Proves the journal, the failover replay
 // contract, and the rebuild watermark hold under true inter-stripe
 // concurrency — ops on distinct stripes really do execute in parallel
 // here, unlike the per-thread synchronous calls above.
@@ -347,10 +347,7 @@ TEST_P(PipelineChaosCampaign, InvariantsHoldUnderConcurrentSchedules) {
     {
       // Fresh pipeline per round; its destructor drains every queued op
       // before the quiesce block runs.
-      StripePipeline pipe(array, {.workers = 3,
-                                  .queue_depth = 64,
-                                  .merge_writes = true,
-                                  .merge_limit = 8});
+      StripePipeline pipe(array, {.workers = 3, .queue_depth = 64});
       std::vector<std::thread> threads;
       threads.reserve(static_cast<size_t>(kSubmitters));
       for (int t = 0; t < kSubmitters; ++t) {
@@ -639,7 +636,6 @@ TEST_P(PoolChaosCampaign, ShardFaultsMidRestripeKeepPoolInvariants) {
   volume::PoolOptions popts;
   popts.chunk_bytes = shard_cap / 16;  // 16 chunks per shard
   popts.pipeline.workers = 2;
-  popts.pipeline.merge_writes = true;
   obs::Registry reg;
   volume::StoragePool pool(spec, 2, popts, &reg);
 

@@ -2,10 +2,14 @@
 // drive an array (write, fail + rebuild, degraded read, scrub,
 // publish_disk_metrics) and a 2-shard StoragePool through their
 // operations, then require a catalogue row for every metric name either
-// registered — in its own registry or the process-global one.
+// registered — in its own registry or the process-global one — and,
+// the other way round, require every raid.*, pool.*, pipeline.* and
+// threadpool.* name in a catalogue table row to be registered by those
+// drives.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -66,8 +70,7 @@ std::vector<uint8_t> random_bytes(size_t n, uint64_t seed) {
   return out;
 }
 
-TEST(MetricCatalogue, EveryArrayMetricIsDocumented) {
-  obs::Registry reg;
+void drive_array(obs::Registry& reg) {
   raid::Raid6Array array(codes::make_layout("dcode", 5), 512, 8, 2, &reg);
   array.enable_journal(8);
   auto data = random_bytes(static_cast<size_t>(array.capacity()), 1);
@@ -82,11 +85,9 @@ TEST(MetricCatalogue, EveryArrayMetricIsDocumented) {
   const raid::ScrubReport rep = array.scrub_report({.repair = true});
   EXPECT_TRUE(rep.inconsistent_stripes.empty());
   array.publish_disk_metrics(reg);
-  EXPECT_EQ(undocumented(reg), "");
 }
 
-TEST(MetricCatalogue, EveryPoolMetricIsDocumented) {
-  obs::Registry reg;
+void drive_pool(obs::Registry& reg) {
   volume::ShardSpec spec;
   spec.prime = 5;
   spec.element_size = 512;
@@ -103,7 +104,62 @@ TEST(MetricCatalogue, EveryPoolMetricIsDocumented) {
   pool.read(0, out);
   EXPECT_EQ(out, data);
   EXPECT_EQ(pool.scrub_all(), 0);
+}
+
+TEST(MetricCatalogue, EveryArrayMetricIsDocumented) {
+  obs::Registry reg;
+  drive_array(reg);
   EXPECT_EQ(undocumented(reg), "");
+}
+
+TEST(MetricCatalogue, EveryPoolMetricIsDocumented) {
+  obs::Registry reg;
+  drive_pool(reg);
+  EXPECT_EQ(undocumented(reg), "");
+}
+
+// Every layer metric named in the first cell of a catalogue table row,
+// bare or with its labels.
+std::set<std::string> documented_layer_metrics() {
+  static const std::regex name(
+      "`((?:raid|pool|pipeline|threadpool)\\.[a-z0-9_.]+)[`{]");
+  std::set<std::string> out;
+  std::istringstream in(catalogue());
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("| `", 0) != 0) continue;
+    // The first cell ends at the first '|' not escaped inside a label set.
+    size_t end = 1;
+    while ((end = line.find('|', end)) != std::string::npos &&
+           line[end - 1] == '\\') {
+      ++end;
+    }
+    const std::string cell = line.substr(0, end);
+    for (std::sregex_iterator it(cell.begin(), cell.end(), name), stop;
+         it != stop; ++it) {
+      out.insert((*it)[1]);
+    }
+  }
+  return out;
+}
+
+TEST(MetricCatalogue, EveryDocumentedMetricIsRegistered) {
+  obs::Registry array_reg, pool_reg;
+  drive_array(array_reg);
+  drive_pool(pool_reg);
+  std::set<std::string> registered;
+  for (obs::Registry* r : {&array_reg, &pool_reg, &obs::Registry::global()}) {
+    for (const obs::MetricSnapshot& m : r->snapshot().metrics) {
+      registered.insert(unsharded(m.name));
+    }
+  }
+  const std::set<std::string> documented = documented_layer_metrics();
+  EXPECT_GT(documented.size(), 50u) << "catalogue rows not parsed";
+  std::string stale;
+  for (const std::string& name : documented) {
+    if (registered.count(name) == 0) stale += name + "\n";
+  }
+  EXPECT_EQ(stale, "");
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "codes/registry.h"
@@ -78,6 +79,7 @@ struct ParsedTrace {
   std::map<uint64_t, uint64_t> parent_of;   // span id -> parent id
   std::map<uint64_t, std::string> name_of;  // span id -> name
   std::vector<uint64_t> roots;              // parent == 0
+  std::map<uint64_t, int64_t> op_of;        // span id -> "op" attribute
   // disk.read / disk.write leaves, expanded to one entry per element.
   std::vector<std::pair<uint64_t, DeviceAccess>> leaves;  // (span, access)
 };
@@ -136,6 +138,9 @@ class OpTraceTest : public ::testing::Test {
         out->parent_of[static_cast<uint64_t>(id)] =
             static_cast<uint64_t>(parent);
         out->name_of[static_cast<uint64_t>(id)] = name;
+        int64_t op = 0;
+        if (extract_int(line, "op", &op))
+          out->op_of[static_cast<uint64_t>(id)] = op;
         if (parent == 0) out->roots.push_back(static_cast<uint64_t>(id));
       } else if (type == "event") {
         std::string name;
@@ -287,12 +292,11 @@ TEST_F(OpTraceTest, PipelinedReadLeavesMatchIoPlan) {
                                 array_->layout().rows(), kElem));
 }
 
-TEST_F(OpTraceTest, MergedPipelinedWritesTraceAsOneOpMatchingTheUnionPlan) {
+TEST_F(OpTraceTest, QueuedPipelinedWritesTraceAsOwnOpsMatchingTheirPlans) {
   // Slow the devices and park the single worker on a read of stripe 3,
-  // so two adjacent writes to stripe 0 queue behind it and coalesce:
-  // exactly one array.write root span whose leaves equal the planner's
-  // plan for the *union* range — the merged batch really did execute as
-  // one RMW.
+  // so two adjacent writes to stripe 0 queue behind it. Each still runs
+  // as its own op: one array.write root per write, carrying that write's
+  // op id, whose leaves equal the planner's plan for its own range.
   for (int d = 0; d < array_->layout().cols(); ++d)
     array_->disk(d).faults().set_latency_ns(5'000'000);
   const int64_t stripe_bytes =
@@ -302,11 +306,12 @@ TEST_F(OpTraceTest, MergedPipelinedWritesTraceAsOneOpMatchingTheUnionPlan) {
   std::vector<uint8_t> park(kElem);
   std::ostringstream trace;
   obs::TraceLog::global().attach(&trace);
+  OpFuture f1, f2;
   {
-    StripePipeline pipe(*array_, {.workers = 1, .merge_limit = 4});
+    StripePipeline pipe(*array_, {.workers = 1});
     auto busy = pipe.submit_read(3 * stripe_bytes, park);
-    auto f1 = pipe.submit_write(0, a);
-    auto f2 = pipe.submit_write(2 * static_cast<int64_t>(kElem), b);
+    f1 = pipe.submit_write(0, a);
+    f2 = pipe.submit_write(2 * static_cast<int64_t>(kElem), b);
     busy.get();
     f1.get();
     f2.get();
@@ -317,27 +322,31 @@ TEST_F(OpTraceTest, MergedPipelinedWritesTraceAsOneOpMatchingTheUnionPlan) {
 
   ParsedTrace t;
   parse_trace_into(trace.str(), &t);
-  // Exactly one write root: the two submitted writes executed as one
-  // merged op (the parked read owns the only other root).
-  uint64_t write_root = 0;
   int write_roots = 0;
-  for (uint64_t r : t.roots) {
-    if (t.name_of[r] == "array.write") {
-      write_root = r;
-      ++write_roots;
-    }
-  }
-  ASSERT_EQ(write_roots, 1);
-  std::vector<DeviceAccess> accesses;
-  for (const auto& [span, access] : t.leaves)
-    if (under(t, span, write_root)) accesses.push_back(access);
-  std::sort(accesses.begin(), accesses.end());
+  for (uint64_t r : t.roots) write_roots += t.name_of[r] == "array.write";
+  EXPECT_EQ(write_roots, 2);
 
   AddressMap map(array_->layout());
   IoPlanner planner(map);
-  EXPECT_EQ(accesses,
-            predicted(planner.plan_write(0, 4, WritePolicy::kReadModifyWrite),
-                      array_->layout().rows(), kElem));
+  for (const auto& [f, start] : {std::pair{f1, 0}, std::pair{f2, 2}}) {
+    SCOPED_TRACE(start);
+    uint64_t root = 0;
+    for (uint64_t r : t.roots) {
+      if (t.name_of[r] == "array.write" &&
+          t.op_of[r] == static_cast<int64_t>(f.op_id())) {
+        root = r;
+      }
+    }
+    ASSERT_NE(root, 0u);
+    std::vector<DeviceAccess> accesses;
+    for (const auto& [span, access] : t.leaves)
+      if (under(t, span, root)) accesses.push_back(access);
+    std::sort(accesses.begin(), accesses.end());
+    EXPECT_EQ(accesses,
+              predicted(planner.plan_write(start, 2,
+                                           WritePolicy::kReadModifyWrite),
+                        array_->layout().rows(), kElem));
+  }
 }
 
 }  // namespace

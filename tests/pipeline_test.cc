@@ -1,5 +1,5 @@
-// Request-pipeline tests: the OpQueue's merge pass, the StripeRangeLock
-// admission protocol, the StripeLockTable, and the StripePipeline's
+// Request-pipeline tests: the OpQueue's admission-order pop, the
+// StripeRangeLock admission protocol, the StripeLockTable, and the StripePipeline's
 // end-to-end ordering contract — any concurrent schedule of submitted
 // ops leaves the array bit-identical to a serial array that applied the
 // same ops in admission order (the seeded property test at the bottom,
@@ -64,74 +64,10 @@ const obs::MetricSnapshot& find_metric(const obs::RegistrySnapshot& snap,
   throw std::logic_error("metric not found: " + name);
 }
 
-// ---------- OpQueue: merge pass ----------
-
-TEST(OpQueue, MergesAdjacentAndOverlappingWrites) {
-  OpQueue q(OpQueue::Options{16, true, 8});
-  ASSERT_TRUE(q.push(make_write(100, 50, 1)));   // [100,150)
-  ASSERT_TRUE(q.push(make_write(150, 50, 2)));   // adjoins -> [100,200)
-  ASSERT_TRUE(q.push(make_write(120, 100, 3)));  // overlaps -> [100,220)
-  ASSERT_TRUE(q.push(make_write(90, 20, 4)));    // overlaps -> [90,220)
-  OpBatch b;
-  ASSERT_TRUE(q.pop_merged(&b, no_reg()));
-  EXPECT_TRUE(b.is_write);
-  EXPECT_EQ(b.sources.size(), 4u);
-  EXPECT_EQ(b.offset, 90);
-  EXPECT_EQ(b.end, 220);
-  // Admission order preserved inside the batch.
-  for (size_t i = 1; i < b.sources.size(); ++i)
-    EXPECT_LT(b.sources[i - 1].seq, b.sources[i].seq);
-  EXPECT_EQ(q.depth(), 0u);
-}
-
-TEST(OpQueue, MergeStopsAtGapAndNeverReordersPastIt) {
-  OpQueue q(OpQueue::Options{16, true, 8});
-  ASSERT_TRUE(q.push(make_write(0, 10, 1)));    // [0,10)
-  ASSERT_TRUE(q.push(make_write(500, 10, 2)));  // gap -> not mergeable
-  ASSERT_TRUE(q.push(make_write(10, 10, 3)));   // would adjoin, but queued
-                                                // behind the gap op
-  OpBatch b;
-  ASSERT_TRUE(q.pop_merged(&b, no_reg()));
-  EXPECT_EQ(b.sources.size(), 1u);  // merge stopped at the first gap
-  ASSERT_TRUE(q.pop_merged(&b, no_reg()));
-  EXPECT_EQ(b.sources.size(), 1u);
-  EXPECT_EQ(b.offset, 500);
-}
-
-TEST(OpQueue, MergeStopsAtReads) {
-  OpQueue q(OpQueue::Options{16, true, 8});
-  ASSERT_TRUE(q.push(make_write(0, 10, 1)));
-  ASSERT_TRUE(q.push(make_read(5, 10)));      // overlapping read: barrier
-  ASSERT_TRUE(q.push(make_write(10, 10, 2)));
-  OpBatch b;
-  ASSERT_TRUE(q.pop_merged(&b, no_reg()));
-  EXPECT_EQ(b.sources.size(), 1u);
-  ASSERT_TRUE(q.pop_merged(&b, no_reg()));
-  EXPECT_FALSE(b.is_write);
-}
-
-TEST(OpQueue, MergeRespectsLimit) {
-  OpQueue q(OpQueue::Options{16, true, 3});
-  for (int i = 0; i < 5; ++i)
-    ASSERT_TRUE(q.push(make_write(i * 10, 10, static_cast<uint8_t>(i))));
-  OpBatch b;
-  ASSERT_TRUE(q.pop_merged(&b, no_reg()));
-  EXPECT_EQ(b.sources.size(), 3u);
-  ASSERT_TRUE(q.pop_merged(&b, no_reg()));
-  EXPECT_EQ(b.sources.size(), 2u);
-}
-
-TEST(OpQueue, MergeDisabledPopsSingles) {
-  OpQueue q(OpQueue::Options{16, false, 8});
-  ASSERT_TRUE(q.push(make_write(0, 10, 1)));
-  ASSERT_TRUE(q.push(make_write(10, 10, 2)));
-  OpBatch b;
-  ASSERT_TRUE(q.pop_merged(&b, no_reg()));
-  EXPECT_EQ(b.sources.size(), 1u);
-}
+// ---------- OpQueue: admission-order pop ----------
 
 TEST(OpQueue, RegistersTicketInPopOrderUnderTheQueueLock) {
-  OpQueue q(OpQueue::Options{16, true, 8});
+  OpQueue q(16);
   ASSERT_TRUE(q.push(make_write(0, 10, 1)));
   ASSERT_TRUE(q.push(make_write(10, 10, 2)));
   std::vector<uint64_t> registered;
@@ -139,16 +75,23 @@ TEST(OpQueue, RegistersTicketInPopOrderUnderTheQueueLock) {
     registered.push_back(seq);
     EXPECT_TRUE(is_write);
   };
-  OpBatch b;
-  ASSERT_TRUE(q.pop_merged(&b, reg));
+  // Adjacent queued writes still pop one at a time, each with its own
+  // ticket, in admission order.
+  PendingOp op;
+  ASSERT_TRUE(q.pop(&op, reg));
   ASSERT_EQ(registered.size(), 1u);
-  EXPECT_EQ(registered[0], b.seq);
-  EXPECT_EQ(b.sources.size(), 2u);  // batch seq is the head's
-  EXPECT_EQ(b.seq, b.sources.front().seq);
+  EXPECT_EQ(registered[0], op.seq);
+  EXPECT_EQ(op.offset, 0);
+  ASSERT_TRUE(q.pop(&op, reg));
+  ASSERT_EQ(registered.size(), 2u);
+  EXPECT_EQ(registered[1], op.seq);
+  EXPECT_EQ(op.offset, 10);
+  EXPECT_LT(registered[0], registered[1]);
+  EXPECT_EQ(q.depth(), 0u);
 }
 
 TEST(OpQueue, BackpressureBlocksPushUntilPop) {
-  OpQueue q(OpQueue::Options{2, true, 8});
+  OpQueue q(2);
   ASSERT_TRUE(q.push(make_read(0, 10)));
   ASSERT_TRUE(q.push(make_read(10, 10)));
   std::atomic<bool> pushed{false};
@@ -158,20 +101,20 @@ TEST(OpQueue, BackpressureBlocksPushUntilPop) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(pushed.load());  // still at depth 2
-  OpBatch b;
-  ASSERT_TRUE(q.pop_merged(&b, no_reg()));
+  PendingOp op;
+  ASSERT_TRUE(q.pop(&op, no_reg()));
   t.join();
   EXPECT_TRUE(pushed.load());
 }
 
 TEST(OpQueue, CloseDrainsThenStops) {
-  OpQueue q(OpQueue::Options{16, true, 8});
+  OpQueue q(16);
   ASSERT_TRUE(q.push(make_read(0, 10)));
   q.close();
   EXPECT_FALSE(q.push(make_read(10, 10)));
-  OpBatch b;
-  EXPECT_TRUE(q.pop_merged(&b, no_reg()));   // drains the queued op
-  EXPECT_FALSE(q.pop_merged(&b, no_reg()));  // then reports closed
+  PendingOp op;
+  EXPECT_TRUE(q.pop(&op, no_reg()));   // drains the queued op
+  EXPECT_FALSE(q.pop(&op, no_reg()));  // then reports closed
 }
 
 // ---------- StripeRangeLock: admission protocol ----------
@@ -343,38 +286,10 @@ TEST(StripePipeline, PowerLossSurfacesOnTheFuture) {
   EXPECT_EQ(array.scrub(), 0);
 }
 
-TEST(StripePipeline, MergesQueuedAdjacentWritesBehindABusyWorker) {
-  obs::Registry reg;
-  auto array = make_array(reg, /*stripes=*/8);
-  for (int d = 0; d < array.layout().cols(); ++d)
-    array.disk(d).faults().set_latency_ns(10'000'000);  // 10 ms per access
-  const int64_t stripe_bytes =
-      array.layout().data_count() * static_cast<int64_t>(kElem);
-  StripePipeline pipe(array, {.workers = 1, .merge_limit = 8});
-  std::vector<uint8_t> d(64, 0x11);
-  // Occupy the single worker on stripe 4, then queue four adjacent
-  // partial writes on stripe 0: by the time the worker returns they are
-  // all queued and must coalesce into one batch.
-  auto busy = pipe.submit_write(4 * stripe_bytes, d);
-  std::vector<OpFuture> futs;
-  for (int i = 0; i < 4; ++i)
-    futs.push_back(pipe.submit_write(i * 64, d));
-  pipe.drain();
-  busy.get();
-  for (auto& f : futs) f.get();
-  auto snap = reg.snapshot();
-  EXPECT_GE(find_metric(snap, "pipeline.writes_merged").value, 3);
-  for (int dd = 0; dd < array.layout().cols(); ++dd)
-    array.disk(dd).faults().set_latency_ns(0);
-  std::vector<uint8_t> back(256);
-  array.read(0, back);
-  EXPECT_EQ(back, std::vector<uint8_t>(256, 0x11));
-}
-
 // ---------- the ordering property test ----------
 //
 // Seeded generator over deliberately overlapping byte ranges, several
-// submitter threads, merging on, several workers. After the fact, the
+// submitter threads, several workers. After the fact, the
 // array must be bit-identical to a serial array that applied the same
 // writes in admission (sequence) order — and every read must equal the
 // serial prefix state of its range at its admission point.
@@ -402,10 +317,7 @@ TEST(StripePipelineProperty, AnyScheduleEqualsSerialAdmissionOrder) {
     constexpr int kOpsPerSubmitter = 120;
     std::vector<std::vector<LoggedOp>> logs(kSubmitters);
     {
-      StripePipeline pipe(array, {.workers = 3,
-                                  .queue_depth = 64,
-                                  .merge_writes = true,
-                                  .merge_limit = 8});
+      StripePipeline pipe(array, {.workers = 3, .queue_depth = 64});
       std::vector<std::thread> subs;
       for (int s = 0; s < kSubmitters; ++s) {
         subs.emplace_back([&, s] {
@@ -481,7 +393,7 @@ TEST(StripePipelineProperty, AnyScheduleEqualsSerialAdmissionOrder) {
 // With a single submitter, admission order == program order, so every
 // read must return exactly the bytes produced by the serial prefix of
 // writes before it — the range lock may not let any later overlapping
-// write sneak ahead, and the merge pass may not jump a queued read.
+// write sneak ahead.
 TEST(StripePipelineProperty, ReadsObserveSerialPrefixState) {
   for (uint64_t seed : {3u, 11u}) {
     obs::Registry reg;
@@ -496,10 +408,7 @@ TEST(StripePipelineProperty, ReadsObserveSerialPrefixState) {
     ref.write(0, initial);
     std::vector<uint8_t> shadow = initial;  // serial prefix image
 
-    StripePipeline pipe(array, {.workers = 3,
-                                .queue_depth = 64,
-                                .merge_writes = true,
-                                .merge_limit = 8});
+    StripePipeline pipe(array, {.workers = 3, .queue_depth = 64});
     Pcg32 rng(seed * 77);
     struct InFlight {
       OpFuture f;

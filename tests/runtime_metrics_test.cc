@@ -109,6 +109,39 @@ TEST(RuntimeVsPlanner, DoubleDegradedReadMatchesIoPlan) {
                       array->layout().cols()));
 }
 
+// EVENODD and liberation do not peel with two adjacent disks lost, so the
+// plan falls back to one full-stripe decode that reads every survivor
+// once; the array must decode the stripe once too, however many of the
+// requested elements are lost.
+TEST(RuntimeVsPlanner, UnpeelableDegradedReadDecodesEachStripeOnce) {
+  for (const char* code : {"evenodd", "liberation"}) {
+    SCOPED_TRACE(code);
+    obs::Registry reg;
+    Raid6Array array(codes::make_layout(code, 5), kElem, /*stripes=*/2,
+                     /*threads=*/1, &reg);
+    auto data = random_bytes(static_cast<size_t>(array.capacity()), 11);
+    array.write(0, data);
+
+    array.fail_disk(0);
+    array.fail_disk(1);
+    array.reset_stats();
+    const int len = 2;
+    std::vector<uint8_t> out(static_cast<size_t>(len) * kElem);
+    array.read(0, out);
+    EXPECT_TRUE(std::equal(out.begin(), out.end(), data.begin()));
+
+    AddressMap map(array.layout());
+    IoPlanner planner(map);
+    int fd[2] = {0, 1};
+    const IoPlan plan = planner.plan_degraded_read(0, len, fd);
+    ASSERT_TRUE(std::any_of(
+        plan.reconstructions.begin(), plan.reconstructions.end(),
+        [](const Reconstruction& rec) { return rec.equation < 0; }));
+    EXPECT_EQ(array.per_disk_element_accesses(),
+              predicted(plan, array.layout().cols()));
+  }
+}
+
 TEST(RuntimeVsPlanner, HealthyWriteMatchesRmwIoPlan) {
   obs::Registry reg;
   auto array = make_array(reg);

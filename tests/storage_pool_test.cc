@@ -128,6 +128,7 @@ TEST(StoragePool, ReadWriteRoundTripProperty) {
   for (int s = 0; s < pool.shard_count(); ++s) {
     const std::string p = "shard" + std::to_string(s) + ".";
     EXPECT_GT(reg.counter(p + "raid.writes").value(), 0) << p;
+    EXPECT_GT(reg.counter(p + "raid.reads").value(), 0) << p;
   }
   EXPECT_GT(reg.counter("pool.reads").value(), 0);
   EXPECT_GT(reg.counter("pool.writes").value(), 0);
