@@ -4,11 +4,10 @@
 // the planner-based simulator, then report the two per-disk element-access
 // tallies side by side in the telemetry output.
 //
-// The simulator side uses WritePolicy::kReadModifyWrite — the execution
-// model the byte-level array actually implements in healthy mode — so the
-// two tallies must agree element-for-element; any mismatch is a real
-// divergence between planner predictions and array behaviour, not policy
-// noise. (The Fig. 4/5 headline numbers themselves keep kAuto.)
+// Both sides run the same per-stripe write decision (plan_stripe_write,
+// WritePolicy::kAuto — what the byte-level array executes), so the two
+// tallies must agree element-for-element; any mismatch is a real
+// divergence between planner predictions and array behaviour.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +28,7 @@
 namespace dcode::bench {
 
 struct RuntimeVsSimResult {
-  sim::IoStats sim_stats;      // planner tallies under the array's policy
+  sim::IoStats sim_stats;      // planner tallies
   sim::IoStats runtime_stats;  // live per_disk_element_accesses() deltas
   int64_t mismatch_elements;   // sum over disks of |runtime - sim|
 };
@@ -46,16 +45,13 @@ inline RuntimeVsSimResult run_runtime_vs_sim(const std::string& code, int p,
   params.start_space = data_count;
   std::vector<sim::Op> ops = sim::generate_workload(kind, params);
 
-  // Simulator side: exactly run_load_experiment's tallying, with the
-  // write policy pinned to the array's.
+  // Simulator side: exactly run_load_experiment's tallying.
   raid::AddressMap map(*layout);
   raid::IoPlanner planner(map);
   sim::IoStats sim_stats(layout->cols());
   for (const sim::Op& op : ops) {
-    raid::IoPlan plan =
-        op.is_write ? planner.plan_write(op.start, op.len,
-                                         raid::WritePolicy::kReadModifyWrite)
-                    : planner.plan_read(op.start, op.len);
+    raid::IoPlan plan = op.is_write ? planner.plan_write(op.start, op.len)
+                                    : planner.plan_read(op.start, op.len);
     sim_stats.accumulate(plan, op.times);
   }
 

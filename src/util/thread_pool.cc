@@ -47,11 +47,25 @@ struct PoolMetrics {
 
 }  // namespace
 
-// Per-dispatch completion ticket. Lives on the dispatching caller's stack;
-// the caller cannot return before `remaining` hits zero, and workers only
-// touch the ticket under its mutex, so the lifetime is safe.
-struct ThreadPool::Batch {
-  explicit Batch(size_t chunks) : remaining(chunks) {}
+// One dispatch. Lives on the dispatching caller's stack; the caller
+// cannot return before `remaining` hits zero, and workers only touch the
+// job under the pool mutex (claiming) or its own mutex (completing), so
+// the lifetime is safe.
+struct ThreadPool::Job {
+  Job(const std::function<void(size_t, size_t)>& f, size_t n, size_t chunks)
+      : fn(f), count(n), nchunks(chunks), remaining(chunks) {}
+
+  // Chunk c's [begin, end): the first count % nchunks chunks take one
+  // extra iteration.
+  size_t begin(size_t c) const {
+    return c * (count / nchunks) + std::min(c, count % nchunks);
+  }
+
+  const std::function<void(size_t, size_t)>& fn;
+  const size_t count;
+  const size_t nchunks;
+  size_t next = 0;      // next unclaimed chunk (under the pool mutex)
+  Job* link = nullptr;  // queue successor (under the pool mutex)
 
   std::mutex mu;
   std::condition_variable done_cv;  // the dispatching caller waits here
@@ -80,31 +94,35 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::worker_loop() {
   current_pool = this;
   for (;;) {
-    QueuedTask task;
+    Job* job = nullptr;
+    size_t chunk = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      task_cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
-      if (stopping_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
+      task_cv_.wait(lock, [this] { return stopping_ || head_ != nullptr; });
+      if (head_ == nullptr) return;  // stopping, queue drained
+      job = head_;
+      chunk = job->next++;
+      --queued_;
+      if (job->next == job->nchunks) {
+        head_ = job->link;
+        if (head_ == nullptr) tail_ = nullptr;
+      }
     }
-    run_task(task.work);
-    // Complete the dispatch ticket only now, after run_task recorded the
-    // chunk: the dispatching caller may wake on this notify, and stats()
-    // after parallel_for returns must already count every chunk.
-    if (task.batch != nullptr) {
-      std::lock_guard<std::mutex> batch_lock(task.batch->mu);
-      if (--task.batch->remaining == 0) task.batch->done_cv.notify_all();
-    }
+    run_chunk(*job, chunk);
   }
 }
 
-void ThreadPool::run_task(const std::function<void()>& task) {
+void ThreadPool::run_chunk(Job& job, size_t chunk) {
   const PoolMetrics& pm = PoolMetrics::get();
   active_workers_.fetch_add(1, std::memory_order_relaxed);
   pm.active_workers->add(1);
   const int64_t t0 = now_ns();
-  task();  // Batch wrapper: never throws across this boundary
+  try {
+    job.fn(job.begin(chunk), job.begin(chunk + 1));
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(job.mu);
+    if (!job.first_error) job.first_error = std::current_exception();
+  }
   const int64_t dt = now_ns() - t0;
   busy_ns_.fetch_add(dt, std::memory_order_relaxed);
   pm.busy_ns->inc(dt);
@@ -112,6 +130,10 @@ void ThreadPool::run_task(const std::function<void()>& task) {
   pm.tasks_run->inc();
   active_workers_.fetch_sub(1, std::memory_order_relaxed);
   pm.active_workers->sub(1);
+  // The dispatching caller may wake on this notify and return, ending
+  // the job's lifetime: nothing touches `job` after the lock is released.
+  std::lock_guard<std::mutex> lock(job.mu);
+  if (--job.remaining == 0) job.done_cv.notify_all();
 }
 
 ThreadPool::Stats ThreadPool::stats() const {
@@ -121,7 +143,7 @@ ThreadPool::Stats ThreadPool::stats() const {
   s.queue_depth_high_water = queue_depth_hwm_.load(std::memory_order_relaxed);
   s.active_workers = active_workers_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
-  s.queued = tasks_.size();
+  s.queued = queued_;
   return s;
 }
 
@@ -144,32 +166,13 @@ void ThreadPool::parallel_for_chunked(
     return;
   }
 
-  const size_t nchunks = std::min(count, nworkers);
-  const size_t base = count / nchunks;
-  const size_t extra = count % nchunks;
-
-  Batch batch(nchunks);
+  Job job(fn, count, std::min(count, nworkers));
   {
     std::lock_guard<std::mutex> lock(mu_);
-    size_t begin = 0;
-    for (size_t c = 0; c < nchunks; ++c) {
-      size_t len = base + (c < extra ? 1 : 0);
-      size_t end = begin + len;
-      tasks_.push({[&batch, &fn, begin, end] {
-                     try {
-                       fn(begin, end);
-                     } catch (...) {
-                       std::lock_guard<std::mutex> batch_lock(batch.mu);
-                       if (!batch.first_error) {
-                         batch.first_error = std::current_exception();
-                       }
-                     }
-                   },
-                   &batch});
-      begin = end;
-    }
-    DCODE_ASSERT(begin == count, "chunking must cover the whole range");
-    const int64_t depth = static_cast<int64_t>(tasks_.size());
+    (tail_ != nullptr ? tail_->link : head_) = &job;
+    tail_ = &job;
+    queued_ += job.nchunks;
+    const int64_t depth = static_cast<int64_t>(queued_);
     if (depth > queue_depth_hwm_.load(std::memory_order_relaxed)) {
       queue_depth_hwm_.store(depth, std::memory_order_relaxed);
       PoolMetrics::get().queue_depth_hwm->update_max(depth);
@@ -177,9 +180,9 @@ void ThreadPool::parallel_for_chunked(
   }
   task_cv_.notify_all();
 
-  std::unique_lock<std::mutex> lock(batch.mu);
-  batch.done_cv.wait(lock, [&batch] { return batch.remaining == 0; });
-  if (batch.first_error) std::rethrow_exception(batch.first_error);
+  std::unique_lock<std::mutex> lock(job.mu);
+  job.done_cv.wait(lock, [&job] { return job.remaining == 0; });
+  if (job.first_error) std::rethrow_exception(job.first_error);
 }
 
 }  // namespace dcode

@@ -7,9 +7,10 @@
 // wins), matching how a RAID rebuild would surface a fault.
 //
 // Completion is tracked per dispatch, not pool-wide: every parallel_for
-// call owns a completion ticket (`Batch`) counting only its own chunks, so
-// concurrent callers never block on each other's work and an exception is
-// attributed to the call whose task threw. A nested parallel_for issued
+// call queues one job descriptor (`Job`) that lives on the caller's stack
+// and counts only its own chunks, so concurrent callers never block on
+// each other's work, an exception is attributed to the call whose task
+// threw, and a dispatch allocates nothing. A nested parallel_for issued
 // from inside one of this pool's workers runs inline on that worker —
 // queueing it would deadlock, since the worker would wait on chunks that
 // need its own queue slot to drain.
@@ -21,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -63,24 +63,23 @@ class ThreadPool {
       size_t count, const std::function<void(size_t, size_t)>& fn);
 
  private:
-  struct Batch;  // per-dispatch completion ticket (defined in the .cc)
-
-  // A queued chunk and the ticket it completes. The worker signals the
-  // ticket only after run_task's accounting lands, so a caller returning
-  // from parallel_for observes stats() that include every one of its
-  // chunks.
-  struct QueuedTask {
-    std::function<void()> work;
-    Batch* batch = nullptr;
-  };
+  // One parallel_for dispatch (defined in the .cc): the caller's
+  // function, its chunking, and its completion ticket. Workers claim its
+  // chunks in order; it leaves the queue once every chunk is claimed.
+  struct Job;
 
   void worker_loop();
-  void run_task(const std::function<void()>& task);
+  // Runs one chunk, capturing a throw into the job, then completes it —
+  // only after the accounting lands, so a caller returning from
+  // parallel_for observes stats() that include every one of its chunks.
+  void run_chunk(Job& job, size_t chunk);
 
   std::vector<std::thread> workers_;
-  std::queue<QueuedTask> tasks_;
+  Job* head_ = nullptr;  // FIFO of jobs with unclaimed chunks (under mu_)
+  Job* tail_ = nullptr;
+  size_t queued_ = 0;    // unclaimed chunks over every queued job
   mutable std::mutex mu_;
-  std::condition_variable task_cv_;  // workers wait for tasks
+  std::condition_variable task_cv_;  // workers wait for chunks
   bool stopping_ = false;
 
   // Accounting (relaxed atomics: read by stats() and the obs collector

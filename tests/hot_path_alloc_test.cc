@@ -2,13 +2,15 @@
 //
 // This binary replaces the global allocation functions with counting
 // versions, warms an array up, and then checks what each op allocates:
-// healthy reads and RMW writes of 1-4 elements make no allocation at
-// all, and with a disk failed (no spare) degraded reads and writes make
-// no allocation of an element's size or more — element and stripe
-// buffers come from the executing thread's reusable scratch.
+// healthy reads and writes of 1-4 elements and whole stripes make no
+// allocation at all, and neither do degraded writes with a disk failed
+// (no spare); degraded reads make no allocation of an element's size or
+// more — element and stripe buffers come from the executing thread's
+// reusable scratch. With four pool threads the engine's per-disk fan-out
+// allocates nothing either.
 //
-// Counting is process-wide (every thread); the array runs with one pool
-// thread, so its fan-out executes inline on the calling thread.
+// Counting is process-wide (every thread); the fixture's array runs with
+// one pool thread, so its fan-out executes inline on the calling thread.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -242,7 +244,7 @@ TEST_F(HotPathAlloc, DegradedOpsAllocateNoElementSizedBlock) {
   }
   for (const Op& op : list) {
     const AllocDelta w = count_allocs([&] { write_op(op, 5); });
-    EXPECT_EQ(w.big, 0) << "degraded write offset " << op.offset << " len "
+    EXPECT_EQ(w.all, 0) << "degraded write offset " << op.offset << " len "
                         << op.len;
   }
   for (const Op& op : reads) {
@@ -251,6 +253,70 @@ TEST_F(HotPathAlloc, DegradedOpsAllocateNoElementSizedBlock) {
                         << op.len;
     expect_read_matches(op);
   }
+}
+
+TEST_F(HotPathAlloc, FullStripeWriteAllocatesAndReadsNothing) {
+  // A whole stripe is encoded from the new data alone, so a warm write
+  // neither allocates nor reads a device.
+  const Op whole{stripe_bytes(), static_cast<size_t>(stripe_bytes())};
+  write_op(whole, 1);
+  auto device_reads = [&] {
+    int64_t n = 0;
+    for (int d = 0; d < array_->layout().cols(); ++d) {
+      n += array_->disk(d).reads();
+    }
+    return n;
+  };
+  for (uint8_t salt : {3, 5}) {
+    const int64_t reads_before = device_reads();
+    const AllocDelta w = count_allocs([&] { write_op(whole, salt); });
+    EXPECT_EQ(w.all, 0);
+    EXPECT_EQ(device_reads(), reads_before);
+  }
+  std::vector<uint8_t> out(whole.len);
+  array_->read(whole.offset, out);
+  EXPECT_EQ(0, std::memcmp(out.data(), shadow_.data() + whole.offset,
+                           whole.len));
+  EXPECT_EQ(array_->scrub(), 0);
+}
+
+TEST(HotPathAllocPool, FourPoolThreadsDispatchWithoutAllocating) {
+  // With four pool threads a multi-disk batch fans out across the pool:
+  // the dispatch itself must not allocate either.
+  obs::TraceLog::global().close();
+  obs::Registry registry;
+  ArrayOptions opts;
+  opts.device_factory = [](int id, size_t size) {
+    return std::unique_ptr<BlockDevice>(std::make_unique<MemDisk>(id, size));
+  };
+  Raid6Array array(codes::make_layout("dcode", 7), kElem, kStripes,
+                   /*threads=*/4, &registry, opts);
+  ASSERT_EQ(array.io_engine().pool().size(), 4u);
+  std::vector<uint8_t> shadow(static_cast<size_t>(array.capacity()));
+  Pcg32 rng(11);
+  rng.fill_bytes(shadow.data(), shadow.size());
+  array.write(0, shadow);
+  g_big_bytes.store(kElem);
+  const size_t len = 4 * kElem;  // 16 KiB
+  std::vector<uint8_t> out(len);
+  const std::vector<int64_t> offsets = {
+      0, 3 * static_cast<int64_t>(kElem),
+      static_cast<int64_t>(kStripes / 2) * array.layout().data_count() *
+          static_cast<int64_t>(kElem)};
+  for (int64_t off : offsets) {  // warm-up
+    array.write(off, {shadow.data() + off, len});
+    array.read(off, out);
+  }
+  for (int64_t off : offsets) {
+    for (size_t i = 0; i < len; ++i) ++shadow[static_cast<size_t>(off) + i];
+    const AllocDelta w = count_allocs(
+        [&] { array.write(off, {shadow.data() + off, len}); });
+    EXPECT_EQ(w.all, 0) << "write offset " << off;
+    const AllocDelta r = count_allocs([&] { array.read(off, out); });
+    EXPECT_EQ(r.all, 0) << "read offset " << off;
+    EXPECT_EQ(0, std::memcmp(out.data(), shadow.data() + off, len));
+  }
+  g_big_bytes.store(SIZE_MAX);
 }
 
 }  // namespace

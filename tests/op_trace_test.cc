@@ -17,6 +17,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -245,13 +246,60 @@ TEST_F(OpTraceTest, RmwWriteLeavesMatchIoPlan) {
     array_->write(start * static_cast<int64_t>(kElem), fresh);
   });
 
-  // The byte-level array always applies delta-based RMW in healthy mode.
+  // The array runs plan_write's own decision (RMW for this write).
   AddressMap map(array_->layout());
   IoPlanner planner(map);
-  EXPECT_EQ(accesses,
-            predicted(planner.plan_write(start, len,
-                                         WritePolicy::kReadModifyWrite),
-                      array_->layout().rows(), kElem));
+  EXPECT_EQ(accesses, predicted(planner.plan_write(start, len),
+                                array_->layout().rows(), kElem));
+}
+
+// The op-trace twin of RuntimeVsPlanner's write sweep: every write's
+// device leaves equal its plan — plan_write (kAuto) healthy,
+// plan_degraded_write with every single disk failed, for each code and
+// p, and with every D-Code p=7 disk pair failed.
+TEST_F(OpTraceTest, WriteLeavesMatchIoPlanAcrossCodesAndFailures) {
+  std::vector<std::tuple<std::string, int, std::vector<int>>> cases;
+  for (const char* code : {"dcode", "rdp", "xcode", "evenodd", "hdp"}) {
+    for (int p : {5, 7}) {
+      cases.emplace_back(code, p, std::vector<int>{});
+      const int cols = codes::make_layout(code, p)->cols();
+      for (int f = 0; f < cols; ++f) {
+        cases.emplace_back(code, p, std::vector<int>{f});
+      }
+    }
+  }
+  for (int a = 0; a < 7; ++a) {
+    for (int b = a + 1; b < 7; ++b) {
+      cases.emplace_back("dcode", 7, std::vector<int>{a, b});
+    }
+  }
+  for (const auto& [code, p, failed] : cases) {
+    SCOPED_TRACE(code + " p=" + std::to_string(p) + " failed " +
+                 testing::PrintToString(failed));
+    Raid6Array array(codes::make_layout(code, p), kElem, /*stripes=*/3,
+                     /*threads=*/2, &registry_);
+    auto fill = random_bytes(static_cast<size_t>(array.capacity()), 17);
+    array.write(0, fill);
+    for (int d : failed) array.fail_disk(d);
+    AddressMap map(array.layout());
+    IoPlanner planner(map);
+    const int dc = array.layout().data_count();
+    for (int len : {1, 4, 13, dc, dc + 3}) {
+      for (int64_t start : {int64_t{0}, int64_t{dc - 2}}) {
+        SCOPED_TRACE("start " + std::to_string(start) + " len " +
+                     std::to_string(len));
+        auto fresh = random_bytes(static_cast<size_t>(len) * kElem,
+                                  static_cast<uint64_t>(start + len));
+        auto accesses = run_traced("array.write", [&] {
+          array.write(start * static_cast<int64_t>(kElem), fresh);
+        });
+        const IoPlan plan =
+            failed.empty() ? planner.plan_write(start, len)
+                           : planner.plan_degraded_write(start, len, failed);
+        EXPECT_EQ(accesses, predicted(plan, array.layout().rows(), kElem));
+      }
+    }
+  }
 }
 
 // --- pipelined ops ---------------------------------------------------------
@@ -271,10 +319,8 @@ TEST_F(OpTraceTest, PipelinedWriteLeavesMatchIoPlan) {
 
   AddressMap map(array_->layout());
   IoPlanner planner(map);
-  EXPECT_EQ(accesses,
-            predicted(planner.plan_write(start, len,
-                                         WritePolicy::kReadModifyWrite),
-                      array_->layout().rows(), kElem));
+  EXPECT_EQ(accesses, predicted(planner.plan_write(start, len),
+                                array_->layout().rows(), kElem));
 }
 
 TEST_F(OpTraceTest, PipelinedReadLeavesMatchIoPlan) {
@@ -342,10 +388,8 @@ TEST_F(OpTraceTest, QueuedPipelinedWritesTraceAsOwnOpsMatchingTheirPlans) {
     for (const auto& [span, access] : t.leaves)
       if (under(t, span, root)) accesses.push_back(access);
     std::sort(accesses.begin(), accesses.end());
-    EXPECT_EQ(accesses,
-              predicted(planner.plan_write(start, 2,
-                                           WritePolicy::kReadModifyWrite),
-                        array_->layout().rows(), kElem));
+    EXPECT_EQ(accesses, predicted(planner.plan_write(start, 2),
+                                  array_->layout().rows(), kElem));
   }
 }
 
