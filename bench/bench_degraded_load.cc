@@ -1,7 +1,8 @@
 // Extension experiment: I/O loads in DEGRADED mode. The paper's Figure
 // 4/5 run healthy arrays; here the same mixed workload runs with one data
-// disk failed (reads reconstruct through the planner's chains, writes use
-// the stripe-rewrite policy), averaged over every failure case.
+// disk failed (reads reconstruct through the planner's chains, writes run
+// plan_degraded_write's per-equation RMW/RCW plan), averaged over every
+// failure case.
 //
 // Expected shape: degraded cost is dominated by reconstruction reads, so
 // the codes whose continuous elements share parities (D-Code, RDP,
@@ -216,10 +217,10 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  std::cout << "\nObservations: stripe-rewrite writes dominate degraded "
-               "cost, so the narrower arrays (hdp) pay the smallest "
-               "absolute penalty; RDP's parity disks finally serve I/O, "
-               "pulling its LF down toward the verticals'.\n";
+  std::cout << "\nObservations: degraded writes run the per-equation "
+               "plan (RMW where the old values survive, RCW from the "
+               "survivors otherwise), so the penalty is mostly the "
+               "reconstruction reads of degraded reads.\n";
 
   std::cout << "\n-- Runtime: degraded sequential read throughput per "
                "device backend (dcode, p=11, disk 2 failed) --\n";

@@ -139,7 +139,7 @@ TEST_P(ArrayAllCodes, DegradedWriteThenRebuild) {
   array.write(0, blob);
 
   array.fail_disk(2);
-  // Write while degraded (stripe-rewrite policy).
+  // Write while degraded (per-equation degraded write).
   auto patch = random_blob(rng, 5000);
   array.write(1234, patch);
   std::copy(patch.begin(), patch.end(), blob.begin() + 1234);
