@@ -201,6 +201,34 @@ TEST_P(WritePlans, AutoPolicyNeverBeatenByForcedPolicies) {
   }
 }
 
+// Within one healthy stripe kAuto is exactly the cheaper forced policy,
+// and a tie keeps RMW's plan: every start, every length to the stripe end.
+TEST_P(WritePlans, AutoPolicyTakesTheCheaperStripePlanTiesKeepRmw) {
+  auto layout = codes::make_layout(std::get<0>(GetParam()),
+                                   std::get<1>(GetParam()));
+  AddressMap map(*layout);
+  IoPlanner planner(map);
+  const int dc = layout->data_count();
+  for (int start = 0; start < dc; ++start) {
+    for (int len = 1; start + len <= dc; ++len) {
+      const IoPlan chosen = planner.plan_write(start, len);
+      const IoPlan rmw =
+          planner.plan_write(start, len, WritePolicy::kReadModifyWrite);
+      const IoPlan rcw =
+          planner.plan_write(start, len, WritePolicy::kReconstructWrite);
+      const IoPlan& want = rcw.total() < rmw.total() ? rcw : rmw;
+      ASSERT_EQ(chosen.accesses.size(), want.accesses.size())
+          << "start " << start << " len " << len;
+      for (size_t i = 0; i < want.accesses.size(); ++i) {
+        ASSERT_EQ(chosen.accesses[i].element, want.accesses[i].element)
+            << "start " << start << " len " << len << " access " << i;
+        ASSERT_EQ(chosen.accesses[i].is_write, want.accesses[i].is_write)
+            << "start " << start << " len " << len << " access " << i;
+      }
+    }
+  }
+}
+
 TEST(WritePlans, FullStripeWriteIsReadFree) {
   auto layout = codes::make_layout("dcode", 7);
   AddressMap map(*layout);
